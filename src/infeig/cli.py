@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,6 +20,12 @@ from . import eigen, fieldio, geometry, viscosity
 from .config import RunConfig, load_config
 from .errors import ConfigError, GeometryError, GridMismatchError, NumericError
 from .grid import ScalarField, edt
+
+
+def _write_json(path: str, record: dict) -> None:
+    with open(path, "w") as f:
+        json.dump(record, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 def _setup(cfg: RunConfig):
@@ -34,10 +41,7 @@ def cmd_limits(cfg: RunConfig, prefix: str, seed: int) -> int:
     lim = geometry.compute_limits(dist, w,
                                   max_candidates=cfg.pack.max_candidates,
                                   rng=rng)
-    record = lim.to_record()
-    with open(f"{prefix}_limits.json", "w") as f:
-        json.dump(record, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(f"{prefix}_limits.json", lim.to_record())
     print(f"R+ = {lim.r_plus:.6g} at node {lim.center_plus}")
     print(f"R2+ = {lim.r2_plus:.6g} at nodes {lim.centers2}")
     if lim.r_minus is not None:
@@ -53,9 +57,8 @@ def cmd_limits(cfg: RunConfig, prefix: str, seed: int) -> int:
 def cmd_sweep(cfg: RunConfig, prefix: str, seed: int) -> int:
     mask, w, dist = _setup(cfg)
     C = cfg.zero_order_field(mask)
-    opts = eigen.SolverOpts(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
-    records, fields = eigen.sweep(w, cfg.p_list, C=C, opts=opts, dist=dist,
-                                  return_fields=True)
+    records, fields = eigen.sweep(w, cfg.p_list, C=C, opts=cfg.solver,
+                                  dist=dist, return_fields=True)
     with open(f"{prefix}_sweep.csv", "w") as f:
         f.write("p,lambda_root,target,deviation,cone_bound,iterations,converged\n")
         for r in records:
@@ -82,14 +85,8 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
             f"field grid {grid.nx}x{grid.ny} (h={grid.h}) does not match "
             f"config grid {cfg.grid.nx}x{cfg.grid.ny} (h={cfg.grid.h})")
     u = ScalarField(cfg.grid, np.where(mask.inside, values, 0.0))
-    opts = viscosity.CheckOpts(kink_tol=cfg.viscosity.kink_tol,
-                               c_tol=cfg.viscosity.c_tol,
-                               eps_regime=cfg.viscosity.eps_regime)
-    report = viscosity.check(u, lam, w, opts)
-    record = report.to_record()
-    with open(f"{prefix}_check.json", "w") as f:
-        json.dump(record, f, sort_keys=True, indent=2)
-        f.write("\n")
+    report = viscosity.check(u, lam, w, cfg.viscosity)
+    _write_json(f"{prefix}_check.json", report.to_record())
     for name in ("pos", "neg", "zero"):
         print(f"{name}: nodes={report.counts[name]} "
               f"max_residual={report.max_residual[name]:.6g} "
@@ -102,16 +99,13 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
 def cmd_pack(cfg: RunConfig, prefix: str, seed: int, k: int | None) -> int:
     _, w, dist = _setup(cfg)
     kk = k if k is not None else cfg.pack.k
+    if kk < 1:
+        raise ConfigError(f"pack: k must be >= 1, got {kk}")
     rng = np.random.default_rng(seed)
     result = geometry.pack(kk, dist, w.plus,
                            max_candidates=cfg.pack.max_candidates,
                            rng=rng, restarts=cfg.pack.restarts)
-    record = {"k": result.k, "radius": result.radius,
-              "centers": [list(c) for c in result.centers],
-              "exact": result.exact}
-    with open(f"{prefix}_pack.json", "w") as f:
-        json.dump(record, f, sort_keys=True, indent=2)
-        f.write("\n")
+    _write_json(f"{prefix}_pack.json", asdict(result))
     tag = "exact" if result.exact else "heuristic lower bound"
     print(f"pack(k={result.k}): radius={result.radius:.6g} ({tag})")
     return 0

@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eigen import SolverOpts
 from .errors import ConfigError
-from .grid import Disk, DomainMask, Grid, Polygon, Rect, rasterize
+from .grid import (Disk, DomainMask, Grid, Polygon, Rect, ScalarField,
+                   rasterize)
+from .viscosity import CheckOpts
 from .weight import WeightField, build_weight, regions_weight
 
 
@@ -49,23 +52,10 @@ def _parse_shape(d: dict, where: str, extra: set = frozenset()):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-8
-    max_iter: int = 20000
-
-
-@dataclass(frozen=True)
 class PackConfig:
     k: int = 2
     max_candidates: int = 4000
     restarts: int = 4
-
-
-@dataclass(frozen=True)
-class ViscosityConfig:
-    kink_tol: float | None = None
-    c_tol: float = 4.0
-    eps_regime: float | None = None
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,9 @@ class RunConfig:
     weight_spec: dict
     zero_order: float | None = None
     p_list: tuple = (4.0, 8.0, 16.0, 32.0)
-    solver: SolverConfig = SolverConfig()
+    solver: SolverOpts = SolverOpts()
     pack: PackConfig = PackConfig()
-    viscosity: ViscosityConfig = ViscosityConfig()
+    viscosity: CheckOpts = CheckOpts()
     output_prefix: str = "run"
     seed: int = 0
 
@@ -106,7 +96,6 @@ class RunConfig:
         raise ConfigError(f"weight: unknown kind {kind!r}")
 
     def zero_order_field(self, mask: DomainMask):
-        from .grid import ScalarField
         if self.zero_order is None:
             return None
         return ScalarField(self.grid, np.full(self.grid.shape,
@@ -158,19 +147,24 @@ def parse_config(raw: dict) -> RunConfig:
     zo = raw.get("zero_order")
     if zo is not None:
         _require_keys(zo, {"value"}, {"value"}, "zero_order")
-        if not float(zo["value"]) > 0:
+        try:
+            zo = float(zo["value"])
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"zero_order.value: {e}") from e
+        if not zo > 0:
             raise ConfigError("zero_order.value must be positive")
-        zo = float(zo["value"])
 
     p_list = tuple(float(p) for p in raw.get("p_list", (4, 8, 16, 32)))
     for p in p_list:
         if not (2 <= p <= 64) or not math.isfinite(p):
             raise ConfigError(f"p_list entries must lie in [2, 64], got {p}")
+    if list(p_list) != sorted(p_list):
+        raise ConfigError(f"p_list must be increasing, got {list(p_list)}")
 
     s = raw.get("solver", {})
     _require_keys(s, {"tol", "max_iter"}, set(), "solver")
-    solver = SolverConfig(tol=float(s.get("tol", 1e-8)),
-                          max_iter=int(s.get("max_iter", 20000)))
+    solver = SolverOpts(tol=float(s.get("tol", SolverOpts.tol)),
+                        max_iter=int(s.get("max_iter", SolverOpts.max_iter)))
 
     pk = raw.get("pack", {})
     _require_keys(pk, {"k", "max_candidates", "restarts"}, set(), "pack")
@@ -180,9 +174,9 @@ def parse_config(raw: dict) -> RunConfig:
 
     v = raw.get("viscosity", {})
     _require_keys(v, {"kink_tol", "c_tol", "eps_regime"}, set(), "viscosity")
-    visc = ViscosityConfig(
+    visc = CheckOpts(
         kink_tol=None if v.get("kink_tol") is None else float(v["kink_tol"]),
-        c_tol=float(v.get("c_tol", 4.0)),
+        c_tol=float(v.get("c_tol", CheckOpts.c_tol)),
         eps_regime=None if v.get("eps_regime") is None else float(v["eps_regime"]))
 
     return RunConfig(grid=grid, domain=domain, weight_spec=wspec,

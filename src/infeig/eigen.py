@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoNegativeRegionError, SeedMassError
-from .geometry import cone_field, r_plus
+from .geometry import cone_field, r_plus, two_cone_field
 from .grid import DistanceField, ScalarField, edt
 from .weight import WeightField, negate
 
@@ -66,9 +66,31 @@ def _cell_gradients(u: np.ndarray, h: float):
     return ux, uy
 
 
+def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
+    """(value, log) of h^2 * sum(coef * a^p) for a >= 0 (coef None means 1),
+    by max rescaling so the log stays finite when the value overflows; log is
+    None when the sum is zero or negative."""
+    M = a.max()
+    if M == 0.0:
+        return 0.0, None
+    r = (a / M) ** p
+    s = float(np.sum(r if coef is None else coef * r))
+    if s <= 0.0:
+        # rescaled sum is O(N); the plain value is s * M^p * h^2
+        return s * math.exp(min(p * math.log(M) + 2 * math.log(h), 700)), None
+    log = 2 * math.log(h) + p * math.log(M) + math.log(s)
+    return (math.exp(log) if log < 700 else math.inf), log
+
+
+def _power_grad(u: np.ndarray, coef, p: float, h: float) -> np.ndarray:
+    """Gradient of h^2 * sum(coef * |u|^p) with respect to nodal values."""
+    return h * h * p * coef * np.abs(u) ** (p - 1) * np.sign(u)
+
+
 def dirichlet_energy_p(u: ScalarField, p: float, C: ScalarField | None = None
                        ) -> tuple[float, float]:
-    """p-Dirichlet energy (plus optional zero-order term), and its log.
+    """p-Dirichlet energy (plus optional zero-order term with C > 0), and its
+    log.
 
     The log is computed with max-rescaled summation so it stays finite even
     when the plain value overflows.
@@ -76,24 +98,16 @@ def dirichlet_energy_p(u: ScalarField, p: float, C: ScalarField | None = None
     _check_p(p)
     h = u.grid.h
     ux, uy = _cell_gradients(u.u, h)
-    g = ux * ux + uy * uy
-    a = np.sqrt(g)
-    M = a.max()
-    if M == 0.0:
-        grad_val, grad_log = 0.0, -math.inf
-    else:
-        s = float(np.sum((a / M) ** p))
-        grad_log = 2 * math.log(h) + p * math.log(M) + math.log(s)
-        grad_val = math.exp(grad_log) if grad_log < 700 else math.inf
+    grad_val, grad_log = _log_power_sum(np.sqrt(ux * ux + uy * uy), None, p, h)
+    if grad_log is None:
+        grad_log = -math.inf
     if C is None:
         return grad_val, grad_log
-    cvals = C.u
-    au = np.abs(u.u)
-    Mu = au.max()
-    if Mu == 0.0:
+    c_val, c_log = _log_power_sum(np.abs(u.u), C.u, p, h)
+    if c_log is None:
+        if c_val != 0.0:
+            raise ValueError("zero-order coefficient must be positive")
         return grad_val, grad_log
-    sC = float(np.sum(cvals * (au / Mu) ** p))
-    c_log = 2 * math.log(h) + p * math.log(Mu) + math.log(sC)
     total_log = np.logaddexp(grad_log, c_log)
     total_val = math.exp(total_log) if total_log < 700 else math.inf
     return total_val, float(total_log)
@@ -114,8 +128,7 @@ def dirichlet_energy_grad(u: ScalarField, p: float,
     out[1:, :-1] += Sx
     out[:-1, 1:] += Sy
     if C is not None:
-        au = np.abs(u.u)
-        out += h * h * p * C.u * au ** (p - 1) * np.sign(u.u)
+        out += _power_grad(u.u, C.u, p, h)
     return out
 
 
@@ -123,31 +136,12 @@ def weighted_mass_p(u: ScalarField, w: WeightField, p: float) -> float:
     """Nodal quadrature of m |u|^p; sign-changing weights may make it
     negative or zero."""
     _check_p(p)
-    h = u.grid.h
-    return float(h * h * np.sum(w.m * np.abs(u.u) ** p))
-
-
-def _mass_with_log(u: np.ndarray, w: WeightField, p: float, h: float):
-    """(value, log) of the weighted mass via max rescaling; log is None when
-    the mass is nonpositive."""
-    au = np.abs(u)
-    M = au.max()
-    if M == 0.0:
-        return 0.0, None
-    s = float(np.sum(w.m * (au / M) ** p))
-    if s <= 0.0:
-        # rescaled sum is O(N); the plain value is s * M^p * h^2
-        return s * math.exp(min(p * math.log(M) + 2 * math.log(h), 700)), None
-    logG = 2 * math.log(h) + p * math.log(M) + math.log(s)
-    val = math.exp(logG) if logG < 700 else math.inf
-    return val, logG
+    return _log_power_sum(np.abs(u.u), w.m, p, u.grid.h)[0]
 
 
 def weighted_mass_grad(u: ScalarField, w: WeightField, p: float) -> np.ndarray:
     _check_p(p)
-    h = u.grid.h
-    au = np.abs(u.u)
-    return h * h * p * w.m * au ** (p - 1) * np.sign(u.u)
+    return _power_grad(u.u, w.m, p, u.grid.h)
 
 
 def rayleigh(u: ScalarField, w: WeightField, p: float,
@@ -157,14 +151,14 @@ def rayleigh(u: ScalarField, w: WeightField, p: float,
     return e / g
 
 
-def _log_rayleigh(u: np.ndarray, grid, w: WeightField, p: float,
+def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
                   C: ScalarField | None):
-    sf = ScalarField(grid, u)
-    _, logE = dirichlet_energy_p(sf, p, C)
-    _, logG = _mass_with_log(u, w, p, grid.h)
+    """log of the Rayleigh quotient, or None when the mass is nonpositive."""
+    _, logE = dirichlet_energy_p(ScalarField(w.grid, u), p, C)
+    _, logG = _log_power_sum(np.abs(u), w.m, p, w.grid.h)
     if logG is None:
-        return None, logE, logG
-    return logE - logG, logE, logG
+        return None
+    return logE - logG
 
 
 def seed_cone(w: WeightField, p: float,
@@ -180,7 +174,7 @@ def seed_cone(w: WeightField, p: float,
     while radius >= 0.5 * h:
         u = cone_field(center, radius, w.grid)
         uu = np.where(w.mask.inside, u.u, 0.0)
-        if _mass_with_log(uu, w, p, h)[0] > 0:
+        if _log_power_sum(np.abs(uu), w.m, p, h)[0] > 0:
             return ScalarField(w.grid, uu)
         radius *= shrink
     raise SeedMassError("cannot seed positive mass")
@@ -204,16 +198,13 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     inside = w.mask.inside
     h = grid.h
 
-    if u0 is not None:
-        u = np.where(inside, u0.u, 0.0)
-        if _mass_with_log(u, w, p, h)[0] <= 0:
-            u = seed_cone(w, p, dist, opts.seed_shrink).u
-    else:
+    u = None if u0 is None else np.where(inside, u0.u, 0.0)
+    if u is None or _log_power_sum(np.abs(u), w.m, p, h)[0] <= 0:
         u = seed_cone(w, p, dist, opts.seed_shrink).u
 
-    _, logG = _mass_with_log(u, w, p, h)
+    _, logG = _log_power_sum(np.abs(u), w.m, p, h)
     u = u * math.exp(-logG / p)
-    loglam, logE, logG = _log_rayleigh(u, grid, w, p, C)
+    loglam = _log_rayleigh(u, w, p, C)
     lam = math.exp(loglam) if loglam < 700 else math.inf
 
     tau = opts.tau0
@@ -234,10 +225,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         for _ in range(60):
             un = np.maximum(u - tau * direction, 0.0)
             un[~inside] = 0.0
-            gval, logGn = _mass_with_log(un, w, p, h)
+            _, logGn = _log_power_sum(np.abs(un), w.m, p, h)
             if logGn is not None:
                 un = un * math.exp(-logGn / p)
-                loglam_n, _, _ = _log_rayleigh(un, grid, w, p, C)
+                loglam_n = _log_rayleigh(un, w, p, C)
                 if loglam_n is not None and loglam_n < loglam:
                     accepted = True
                     break
@@ -275,45 +266,21 @@ def mu1(w: WeightField, p: float, opts: SolverOpts | None = None,
 def two_cone_upper_bound(p: float, c1, c2, radius: float, w: WeightField,
                          dist: DistanceField | None = None) -> float:
     """p-th root of the supremum of the Rayleigh quotient over the two-cone
-    family |alpha|^p + |beta|^p = 1, by golden-section search.
+    family |alpha|^p + |beta|^p = 1, in closed form.
 
     Disjoint supports make both energy and mass affine in s = |alpha|^p, so
-    the quotient is a unimodal rational function of s.
+    the quotient is linear-fractional in s and its sup over [0, 1] is the
+    larger single-cone quotient (s = 0 or 1). Returns inf when either cone
+    has nonpositive weighted mass.
     """
     _check_p(p)
-    from .geometry import two_cone_field  # validates disjointness/containment
+    # validates disjointness and containment
     two_cone_field(1.0, 1.0, c1, c2, radius, w.grid, dist)
-    f1 = ScalarField(w.grid, cone_field(c1, radius, w.grid).u * w.mask.inside)
-    f2 = ScalarField(w.grid, cone_field(c2, radius, w.grid).u * w.mask.inside)
-    e1, _ = dirichlet_energy_p(f1, p)
-    e2, _ = dirichlet_energy_p(f2, p)
-    g1 = weighted_mass_p(f1, w, p)
-    g2 = weighted_mass_p(f2, w, p)
-
-    def q(s):
-        den = s * g1 + (1 - s) * g2
-        if den <= 0:
-            return math.inf
-        return (s * e1 + (1 - s) * e2) / den
-
-    lo, hi = 0.0, 1.0
-    invphi = (math.sqrt(5) - 1) / 2
-    a = hi - invphi * (hi - lo)
-    b = lo + invphi * (hi - lo)
-    fa, fb = q(a), q(b)
-    for _ in range(120):
-        if fa >= fb:
-            hi, b, fb = b, a, fa
-            a = hi - invphi * (hi - lo)
-            fa = q(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + invphi * (hi - lo)
-            fb = q(b)
-    best = max(q(0.0), q(1.0), fa, fb)
-    if not math.isfinite(best):
+    logs = [_log_rayleigh(cone_field(c, radius, w.grid).u * w.mask.inside,
+                          w, p, None) for c in (c1, c2)]
+    if None in logs:
         return math.inf
-    return math.exp(math.log(best) / p)
+    return math.exp(max(logs) / p)
 
 
 def cone_rayleigh_root(w: WeightField, p: float,
@@ -322,9 +289,7 @@ def cone_rayleigh_root(w: WeightField, p: float,
     """p-th root of the Rayleigh quotient of the admissible seed cone; a
     rigorous discrete upper bound on lambda_root."""
     u = seed_cone(w, p, dist)
-    _, logE = dirichlet_energy_p(u, p, C)
-    _, logG = _mass_with_log(u.u, w, p, w.grid.h)
-    return math.exp((logE - logG) / p)
+    return math.exp(_log_rayleigh(u.u, w, p, C) / p)
 
 
 def sweep(w: WeightField, p_list, C: ScalarField | None = None,

@@ -37,16 +37,19 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
     with open(path) as f:
         try:
             header = json.loads(f.readline())
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: bad field header: {e}") from e
-        grid = Grid(header["nx"], header["ny"], header["h"],
-                    tuple(header["origin"]))
-        kind = header.get("kind", "scalar")
+            grid = Grid(header["nx"], header["ny"], header["h"],
+                        tuple(header["origin"]))
+            kind = header.get("kind", "scalar")
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: bad field header: {e!r}") from e
         rows = [line.strip().split(",") for line in f if line.strip()]
     if len(rows) != grid.nx or any(len(r) != grid.ny for r in rows):
         raise ConfigError(f"{path}: body does not match {grid.nx}x{grid.ny} header")
-    if kind == "mask":
-        values = np.array(rows, dtype=int).astype(bool)
-    else:
-        values = np.array(rows, dtype=float)
+    try:
+        if kind == "mask":
+            values = np.array(rows, dtype=int).astype(bool)
+        else:
+            values = np.array(rows, dtype=float)
+    except ValueError as e:
+        raise ConfigError(f"{path}: bad field value: {e}") from e
     return grid, values, kind

@@ -7,13 +7,13 @@ Ball containment is always tested through the distance field
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import GeometryError, InfeasiblePackingError, NoPositiveRegionError
 from .grid import DistanceField, Grid, ScalarField
-from .weight import WeightField, negate
+from .weight import WeightField
 
 PAIR_SEARCH_MAX_CANDIDATES = 4000
 
@@ -39,17 +39,7 @@ class GeoLimits:
     lambda1_inf_C: float
 
     def to_record(self) -> dict:
-        return {
-            "r_plus": self.r_plus,
-            "center_plus": list(self.center_plus),
-            "r_minus": self.r_minus,
-            "r2_plus": self.r2_plus,
-            "centers2": [list(c) for c in self.centers2],
-            "lambda1_inf": self.lambda1_inf,
-            "lambda2_inf": self.lambda2_inf,
-            "mu1_inf": self.mu1_inf,
-            "lambda1_inf_C": self.lambda1_inf_C,
-        }
+        return asdict(self)
 
 
 def r_plus(dist: DistanceField, plus_mask: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -245,9 +235,8 @@ def compute_limits(dist: DistanceField, w: WeightField,
     sign partition of the weight."""
     rp, cp = r_plus(dist, w.plus)
     p2 = pack(2, dist, w.plus, max_candidates=max_candidates, rng=rng)
-    wneg = negate(w)
-    if wneg.plus.any():
-        rm, _ = r_plus(dist, wneg.plus)
+    if w.minus.any():
+        rm, _ = r_plus(dist, w.minus)
         mu1_inf = -1.0 / rm
     else:
         rm = None

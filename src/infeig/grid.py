@@ -165,14 +165,3 @@ def edt(mask: DomainMask) -> DistanceField:
     d = distance_transform_edt(mask.inside) * mask.grid.h
     return DistanceField(mask.grid, d)
 
-
-def interior_core(inside: np.ndarray) -> np.ndarray:
-    """Inside nodes whose full 8-neighborhood is also inside."""
-    core = np.zeros_like(inside)
-    c = inside[1:-1, 1:-1].copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            c &= inside[1 + dx:inside.shape[0] - 1 + dx,
-                        1 + dy:inside.shape[1] - 1 + dy]
-    core[1:-1, 1:-1] = c
-    return core

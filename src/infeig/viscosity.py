@@ -10,9 +10,10 @@ touch the field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.ndimage import binary_erosion
 
 from .grid import ScalarField
 from .weight import WeightField
@@ -26,6 +27,8 @@ POS, NEG, ZERO, EXCLUDED = 1, -1, 0, 9
 KINK_FRACTION = 0.2
 CURVATURE_GUARD = 0.5
 DEFAULT_C_TOL = 4.0
+# 8-neighbourhood for erosion; the default border_value=0 clears the index rim
+_NBHD = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,7 @@ class ViscosityReport:
     boundary_max: float
 
     def to_record(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "counts": self.counts,
-            "excluded": self.excluded,
-            "tolerance": self.tolerance,
-            "passes": self.passes,
-            "boundary_max": self.boundary_max,
-        }
+        return asdict(self)
 
 
 def _stencils(u: np.ndarray, h: float):
@@ -113,30 +109,17 @@ def regime_labels(u: ScalarField, w: WeightField,
     h = u.grid.h
     # centered 3x3 stencils are only meaningful where the full neighborhood
     # is inside; rim-adjacent nodes read Dirichlet-truncated values
-    core = np.zeros_like(inside)
-    c9 = inside[1:-1, 1:-1].copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            c9 &= inside[1 + dx:inside.shape[0] - 1 + dx,
-                         1 + dy:inside.shape[1] - 1 + dy]
-    core[1:-1, 1:-1] = c9
+    core = binary_erosion(inside, _NBHD)
     mu = w.m * u.u
     eps = opts.eps_regime
     if eps is None:
         eps = 1e-12 * max(np.abs(mu).max(), 1.0)
     small = np.abs(mu) <= eps
-    small_nbhd = np.zeros_like(small)
-    c = small[1:-1, 1:-1].copy()
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            c &= small[1 + dx:small.shape[0] - 1 + dx,
-                       1 + dy:small.shape[1] - 1 + dy]
-    small_nbhd[1:-1, 1:-1] = c
 
     labels = np.full(u.u.shape, EXCLUDED, dtype=int)
     labels[core & (mu > eps)] = POS
     labels[core & (mu < -eps)] = NEG
-    labels[core & small & small_nbhd] = ZERO
+    labels[core & binary_erosion(small, _NBHD)] = ZERO
     kink = excluded_nodes(u.u, h, opts.kink_tol)
     labels[kink] = EXCLUDED
     labels[~core] = EXCLUDED

@@ -51,10 +51,10 @@ class WeightField:
 
 
 def build_weight(spec, grid: Grid, mask: DomainMask) -> WeightField:
-    """Sample a weight at node centers from a region list or an expression.
+    """Sample a weight at node centers from an expression.
 
-    `spec` is either a list of (shape, value) pairs preceded by a background
-    value -- handled by :func:`regions_weight` -- or any callable f(X, Y).
+    `spec` is a callable f(X, Y) evaluated on the node coordinate arrays;
+    piecewise-constant region lists go through :func:`regions_weight`.
     One-signed weights are allowed (sign_changing comes back False).
     """
     X, Y = grid.coords()

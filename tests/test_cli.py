@@ -75,7 +75,49 @@ class TestConfig:
             assert w.sign_changing
 
 
+def check_argv(edit):
+    """Builds `check` argv on a zero field file whose parsed header dict and
+    body lines are passed through `edit` before writing."""
+    def build(tmp_path):
+        path, raw = disk_config(tmp_path)
+        grid = parse_config(raw).grid
+        fpath = tmp_path / "field.csv"
+        fieldio.save_array(fpath, grid, np.zeros(grid.shape), "scalar")
+        header, *body = fpath.read_text().splitlines()
+        header, body = edit(json.loads(header), body)
+        fpath.write_text("\n".join([json.dumps(header)] + body) + "\n")
+        return ["check", "--config", str(path), "--field", str(fpath),
+                "--lam", "1.0"]
+    return build
+
+
+def config_argv(command, *flags, **overrides):
+    def build(tmp_path):
+        path, _ = disk_config(tmp_path, **overrides)
+        return [command, "--config", str(path), *flags]
+    return build
+
+
+MALFORMED = {
+    "field_header_missing_h": check_argv(
+        lambda hd, body: ({k: v for k, v in hd.items() if k != "h"}, body)),
+    "field_header_bad_nx": check_argv(lambda hd, body: ({**hd, "nx": 1}, body)),
+    "field_non_numeric_cell": check_argv(
+        lambda hd, body: (hd, ["abc" + body[0][1:]] + body[1:])),
+    "p_list_decreasing": config_argv("sweep", p_list=[8, 4]),
+    "pack_k_zero": config_argv("pack", pack={"k": 0}),
+    "pack_flag_k_zero": config_argv("pack", "--k", "0"),
+    "zero_order_non_numeric": config_argv("sweep", zero_order={"value": "abc"}),
+}
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_input_is_one_error_line(self, tmp_path, capsys, case):
+        assert cli.main(MALFORMED[case](tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_config_error_is_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

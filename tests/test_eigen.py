@@ -309,14 +309,19 @@ class TestTwoConeBound:
     def test_matches_single_cone_endpoints(self):
         grid, mask, dist, c1, c2 = self._setup()
         w = uniform_weight(grid, mask)
-        p = 4.0
-        bound = two_cone_upper_bound(p, c1, c2, 0.3, w, dist)
-        singles = []
-        for c in (c1, c2):
-            u = cone_field(c, 0.3, grid, dist)
-            uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
-            singles.append(rayleigh(uu, w, p) ** (1 / p))
-        assert bound >= max(singles) - 1e-12
+        for p in (4.0, 8.0, 16.0, 32.0, 64.0):
+            bound = two_cone_upper_bound(p, c1, c2, 0.3, w, dist)
+            singles = []
+            for c in (c1, c2):
+                u = cone_field(c, 0.3, grid, dist)
+                uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
+                singles.append(rayleigh(uu, w, p) ** (1 / p))
+            assert bound == pytest.approx(max(singles), rel=1e-12)
+
+    def test_inf_when_cones_have_negative_mass(self):
+        grid, mask, dist, c1, c2 = self._setup()
+        w = example1_weight(grid, mask)  # m = -1 outside r < 0.25
+        assert two_cone_upper_bound(8.0, c1, c2, 0.2, w, dist) == math.inf
 
 
 class TestSweep:

@@ -163,8 +163,20 @@ def parse_config(raw: dict) -> RunConfig:
 
     s = raw.get("solver", {})
     _require_keys(s, {"tol", "max_iter"}, set(), "solver")
-    solver = SolverOpts(tol=float(s.get("tol", SolverOpts.tol)),
-                        max_iter=int(s.get("max_iter", SolverOpts.max_iter)))
+    try:
+        tol = float(s.get("tol", SolverOpts.tol))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"solver.tol: {e}") from e
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"solver.tol (relative KKT residual) must be "
+                          f"positive and finite, got {tol}")
+    max_iter = s.get("max_iter", SolverOpts.max_iter)
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, float))
+            or (isinstance(max_iter, float) and not max_iter.is_integer())
+            or max_iter < 1):
+        raise ConfigError(f"solver.max_iter must be an integer >= 1, "
+                          f"got {max_iter!r}")
+    solver = SolverOpts(tol=tol, max_iter=int(max_iter))
 
     pk = raw.get("pack", {})
     _require_keys(pk, {"k", "max_candidates", "restarts"}, set(), "pack")

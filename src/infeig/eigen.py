@@ -2,14 +2,17 @@
 
 Energy uses per-cell forward differences from each cell's base corner, so
 both the energy and the mass have exact analytic gradients. The principal
-eigenvalue is found by projected gradient descent on the Rayleigh quotient
-over nonnegative fields, normalized to unit weighted p-mass. All p-th roots
-and normalizations go through log space so p = 64 stays finite in doubles.
+eigenvalue is found by projected L-BFGS on log E - log G over nonnegative
+fields; a solve is converged only when its relative KKT residual is below
+the tolerance, and the returned field has unit weighted p-mass. All p-th
+roots and normalizations go through log space so p = 64 stays finite in
+doubles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,13 +23,14 @@ from .grid import DistanceField, ScalarField, edt
 from .weight import WeightField, negate
 
 P_MAX = 64.0
+_MEMORY = 10    # L-BFGS curvature pairs kept
+_ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 
 
 @dataclass(frozen=True)
 class SolverOpts:
-    tol: float = 1e-8
+    tol: float = 1e-4  # relative KKT residual that certifies convergence
     max_iter: int = 20000
-    tau0: float = 1.0
     seed_shrink: float = 0.8
 
 
@@ -39,7 +43,8 @@ class EigenResult:
     iterations: int
     final_step: float
     converged: bool
-    residual: float
+    residual: float  # relative KKT residual at the returned field
+    stop: str  # "tol", "max_iter", "line_search" or "nonfinite"
 
 
 @dataclass(frozen=True)
@@ -153,12 +158,13 @@ def rayleigh(u: ScalarField, w: WeightField, p: float,
 
 def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
                   C: ScalarField | None):
-    """log of the Rayleigh quotient, or None when the mass is nonpositive."""
-    _, logE = dirichlet_energy_p(ScalarField(w.grid, u), p, C)
+    """(log of the Rayleigh quotient, log of the weighted mass), or None when
+    the mass is nonpositive."""
     _, logG = _log_power_sum(np.abs(u), w.m, p, w.grid.h)
     if logG is None:
         return None
-    return logE - logG
+    _, logE = dirichlet_energy_p(ScalarField(w.grid, u), p, C)
+    return logE - logG, logG
 
 
 def seed_cone(w: WeightField, p: float,
@@ -180,15 +186,52 @@ def seed_cone(w: WeightField, p: float,
     raise SeedMassError("cannot seed positive mass")
 
 
+def _lbfgs_direction(g: np.ndarray, pairs, free: np.ndarray) -> np.ndarray:
+    """-H g by the two-loop recursion over the stored (s, y) pairs, with every
+    vector restricted to the free variables; zero on the bound ones."""
+    sel = slice(None) if free.all() else free
+    q = g[sel]
+    hist = []
+    for s, y in pairs:
+        s, y = s[sel], y[sel]
+        sy = s @ y
+        if sy > 0.0:
+            hist.append((s, y, sy))
+    alphas = []
+    for s, y, sy in reversed(hist):
+        a = (s @ q) / sy
+        q = q - a * y
+        alphas.append(a)
+    if hist:
+        s, y, sy = hist[-1]
+        q = q * (sy / (y @ y))
+    for (s, y, sy), a in zip(hist, reversed(alphas)):
+        q = q + (a - (y @ q) / sy) * s
+    d = np.zeros_like(g)
+    d[sel] = -q
+    return d
+
+
 def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
                   opts: SolverOpts | None = None,
                   dist: DistanceField | None = None,
                   u0: ScalarField | None = None,
                   callback=None) -> EigenResult:
-    """Principal eigenpair by projected gradient descent with backtracking.
+    """Principal eigenpair by projected L-BFGS on f = log E - log G over
+    nonnegative inside values (Byrd-Lu-Nocedal-Zhu 1995, without the
+    Cauchy point).
 
-    Each accepted step strictly decreases lambda; the iterate is clamped to
-    be nonnegative and renormalized to unit weighted p-mass.
+    The direction is the two-loop recursion on the free variables (not
+    u = 0 with df > 0), reset to -df when it is not a descent direction. The
+    line search backtracks on the projected arc max(u + tau d, 0) and accepts
+    only a strict Armijo decrease with positive weighted mass, so each
+    accepted step (one iteration, one ``callback(loglam)``) strictly
+    decreases lambda. ``converged`` certifies stationarity: the relative KKT
+    residual max|P(dE - lam dG)| / max|dE| over inside nodes, with P dropping
+    positive components where u = 0, is at most ``opts.tol``. ``stop`` says
+    why the solve ended: "tol", "max_iter", "line_search" (no trial
+    decreases lambda, the floating-point floor) or "nonfinite". The field is
+    normalized to unit weighted p-mass.
     """
     _check_p(p)
     if C is not None and np.any(C.u[w.mask.inside] <= 0):
@@ -202,54 +245,82 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     if u is None or _log_power_sum(np.abs(u), w.m, p, h)[0] <= 0:
         u = seed_cone(w, p, dist, opts.seed_shrink).u
 
-    _, logG = _log_power_sum(np.abs(u), w.m, p, h)
-    u = u * math.exp(-logG / p)
-    loglam = _log_rayleigh(u, w, p, C)
-    lam = math.exp(loglam) if loglam < 700 else math.inf
+    def gradient(x, loglam, logG):
+        """(df, relative KKT residual) at x. The kernels run on the unit-mass
+        rescaling uh = c u, where f's gradient is c (dE - lam dG) / lam."""
+        c = math.exp(-logG / p)
+        u[inside] = x
+        uh = ScalarField(grid, u * c)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lam = np.exp(loglam)
+            gE = dirichlet_energy_grad(uh, p, C)[inside]
+            r = gE - lam * weighted_mass_grad(uh, w, p)[inside]
+            kkt = np.abs(np.where((x == 0.0) & (r > 0.0), 0.0, r)).max()
+            return r * (c / lam), float(kkt / np.abs(gE).max())
 
-    tau = opts.tau0
-    it = 0
-    rel = math.inf
-    converged = False
-    while it < opts.max_iter:
-        it += 1
-        sf = ScalarField(grid, u)
-        gE = dirichlet_energy_grad(sf, p, C)
-        gG = weighted_mass_grad(sf, w, p)
-        direction = gE - lam * gG
-        dmax = np.abs(direction).max()
-        if dmax == 0.0 or not np.isfinite(dmax):
-            break
-        direction /= dmax
-        accepted = False
+    def line_search(x, g, d, loglam, tau):
+        """(x, (log lambda, log G), tau) at the first of tau, tau/2, ... on
+        the projected arc with positive mass and a strict Armijo decrease,
+        or None."""
         for _ in range(60):
-            un = np.maximum(u - tau * direction, 0.0)
-            un[~inside] = 0.0
-            _, logGn = _log_power_sum(np.abs(un), w.m, p, h)
-            if logGn is not None:
-                un = un * math.exp(-logGn / p)
-                loglam_n = _log_rayleigh(un, w, p, C)
-                if loglam_n is not None and loglam_n < loglam:
-                    accepted = True
-                    break
+            xt = np.maximum(x + tau * d, 0.0)
+            u[inside] = xt
+            ev = _log_rayleigh(u, w, p, C)
+            if ev is not None and ev[0] < loglam and (
+                    ev[0] <= loglam + _ARMIJO * (g @ (xt - x))):
+                return xt, ev, tau
             tau *= 0.5
-        if not accepted:
+        return None
+
+    x = u[inside]
+    loglam, logG = _log_rayleigh(u, w, p, C)
+    g, kkt = gradient(x, loglam, logG)
+    pairs = deque(maxlen=_MEMORY)
+    it = 0
+    tau = 0.0
+    while True:
+        if not (math.isfinite(kkt) and np.isfinite(g).all()):
+            stop = "nonfinite"
             break
-        rel = -math.expm1(loglam_n - loglam)  # (lam - lam_n)/lam
-        u = un
-        loglam = loglam_n
-        lam = math.exp(loglam) if loglam < 700 else math.inf
+        if kkt <= opts.tol:
+            stop = "tol"
+            break
+        if it >= opts.max_iter:
+            stop = "max_iter"
+            break
+        free = ~((x == 0.0) & (g > 0.0))
+        step = None
+        if pairs:
+            d = _lbfgs_direction(g, pairs, free)
+            if g @ d < 0.0:
+                step = line_search(x, g, d, loglam, 1.0)
+        if step is None:
+            # no memory, no descent direction or no decrease along it:
+            # restart along -df with a first step of 1% of max u
+            pairs.clear()
+            d = np.where(free, -g, 0.0)
+            step = line_search(x, g, d, loglam,
+                               0.01 * x.max() / np.abs(d).max())
+        if step is None:
+            stop = "line_search"
+            break
+        it += 1
+        xt, (loglam, logG), tau = step
         if callback is not None:
             callback(loglam)
-        tau *= 1.25
-        if rel < opts.tol:
-            converged = True
-            break
+        gt, kkt = gradient(xt, loglam, logG)
+        s, y = xt - x, gt - g
+        if s @ y > np.finfo(float).eps * (y @ y):
+            pairs.append((s, y))
+        x, g = xt, gt
 
-    lambda_root = math.exp(loglam / p)
-    return EigenResult(p=p, lam=lam, lambda_root=lambda_root,
+    u[inside] = x
+    u *= math.exp(-logG / p)
+    return EigenResult(p=p, lam=math.exp(loglam) if loglam < 700 else math.inf,
+                       lambda_root=math.exp(loglam / p),
                        field=ScalarField(grid, u), iterations=it,
-                       final_step=tau, converged=converged, residual=rel)
+                       final_step=tau, converged=stop == "tol", residual=kkt,
+                       stop=stop)
 
 
 def mu1(w: WeightField, p: float, opts: SolverOpts | None = None,
@@ -280,7 +351,7 @@ def two_cone_upper_bound(p: float, c1, c2, radius: float, w: WeightField,
                           w, p, None) for c in (c1, c2)]
     if None in logs:
         return math.inf
-    return math.exp(max(logs) / p)
+    return math.exp(max(log[0] for log in logs) / p)
 
 
 def cone_rayleigh_root(w: WeightField, p: float,
@@ -289,7 +360,7 @@ def cone_rayleigh_root(w: WeightField, p: float,
     """p-th root of the Rayleigh quotient of the admissible seed cone; a
     rigorous discrete upper bound on lambda_root."""
     u = seed_cone(w, p, dist)
-    return math.exp(_log_rayleigh(u.u, w, p, C) / p)
+    return math.exp(_log_rayleigh(u.u, w, p, C)[0] / p)
 
 
 def sweep(w: WeightField, p_list, C: ScalarField | None = None,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ def disk_config(tmp_path, h=1 / 24, **overrides):
         "domain": [{"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}],
         "weight": {"kind": "regions", "background": 1.0},
         "p_list": [4],
-        "solver": {"tol": 1e-7, "max_iter": 5000},
+        "solver": {"tol": 1e-4, "max_iter": 5000},
         "output_prefix": str(tmp_path / "out"),
     }
     raw.update(overrides)
@@ -108,6 +112,10 @@ MALFORMED = {
     "pack_k_zero": config_argv("pack", pack={"k": 0}),
     "pack_flag_k_zero": config_argv("pack", "--k", "0"),
     "zero_order_non_numeric": config_argv("sweep", zero_order={"value": "abc"}),
+    "solver_tol_non_numeric": config_argv("sweep", solver={"tol": "abc"}),
+    "solver_tol_negative": config_argv("sweep", solver={"tol": -1.0}),
+    "solver_max_iter_negative": config_argv("sweep", solver={"max_iter": -1}),
+    "solver_max_iter_fractional": config_argv("sweep", solver={"max_iter": 2.5}),
 }
 
 
@@ -117,6 +125,14 @@ class TestExitCodes:
         assert cli.main(MALFORMED[case](tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize costs ~0.3 s and ~20 MB at start-up; the CLI needs none of it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, infeig.cli; "
+                "sys.exit('scipy.optimize' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_config_error_is_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -52,6 +52,17 @@ def eigsh_lambda2_oracle(w):
     return float(vals_[0])
 
 
+def projected_kkt(res, w, C=None):
+    """Relative projected KKT residual of a returned eigenpair from the public
+    gradients: max|P(dE - lam dG)| / max|dE| over inside nodes, where P drops
+    positive components at nodes with u = 0."""
+    gE = dirichlet_energy_grad(res.field, res.p, C)
+    r = gE - res.lam * weighted_mass_grad(res.field, w, res.p)
+    r = np.where((res.field.u == 0.0) & (r > 0.0), 0.0, r)
+    inside = w.mask.inside
+    return np.abs(r[inside]).max() / np.abs(gE[inside]).max()
+
+
 class TestEnergyAndMass:
     def test_zero_field(self):
         grid, mask, _ = disk_setup(1 / 32)
@@ -190,10 +201,33 @@ class TestSolver:
     def test_p2_matches_eigsh(self):
         grid, mask, dist = disk_setup(1 / 40)
         w = uniform_weight(grid, mask)
-        res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-13), dist=dist)
+        res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-5), dist=dist)
         oracle = eigsh_lambda2_oracle(w)
         assert res.converged
         assert res.lam == pytest.approx(oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("case,p", [("uniform", 4.0), ("example1", 6.0),
+                                        ("zero_order", 4.0)])
+    def test_converged_certifies_kkt(self, case, p):
+        grid, mask, dist = disk_setup(1 / 32)
+        w = (example1_weight(grid, mask, delta=0.4) if case == "example1"
+             else uniform_weight(grid, mask))
+        C = (ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
+             if case == "zero_order" else None)
+        tol = SolverOpts().tol
+        res = solve_lambda1(w, p, C=C, dist=dist)
+        assert res.converged and res.stop == "tol"
+        assert res.residual <= tol
+        assert projected_kkt(res, w, C) <= tol
+
+    def test_stall_is_not_converged(self):
+        # tol 1e-12 lies below the floating-point floor of the residual
+        grid, mask, dist = disk_setup(1 / 40)
+        w = uniform_weight(grid, mask)
+        res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-12), dist=dist)
+        assert not res.converged and res.stop == "line_search"
+        assert res.residual > 1e-12
+        assert res.lam == pytest.approx(eigsh_lambda2_oracle(w), rel=1e-6)
 
     def test_lambda_equals_rayleigh_of_field(self):
         grid, mask, dist = disk_setup(1 / 32)
@@ -220,7 +254,7 @@ class TestSolver:
         grid, mask, dist = disk_setup(1 / 32)
         w = uniform_weight(grid, mask)
         p = 6.0
-        res = solve_lambda1(w, p, opts=SolverOpts(tol=1e-11), dist=dist)
+        res = solve_lambda1(w, p, opts=SolverOpts(tol=1e-5), dist=dist)
         rng = np.random.default_rng(17)
         nodes = np.argwhere(mask.inside)
         checked = 0
@@ -240,7 +274,7 @@ class TestSolver:
         grid, mask, dist = disk_setup(1 / 32)
         w_small = example1_weight(grid, mask, delta=0.5)
         w_big = uniform_weight(grid, mask)
-        opts = SolverOpts(tol=1e-11)
+        opts = SolverOpts(tol=1e-5)
         a = solve_lambda1(w_small, 4.0, opts=opts, dist=dist)
         b = solve_lambda1(w_big, 4.0, opts=opts, dist=dist)
         assert b.lam <= a.lam + 1e-10
@@ -277,7 +311,7 @@ class TestSolver:
     def test_zero_order_raises_eigenvalue(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = uniform_weight(grid, mask)
-        opts = SolverOpts(tol=1e-11)
+        opts = SolverOpts(tol=1e-5)
         plain = solve_lambda1(w, 4.0, opts=opts, dist=dist)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
         with_C = solve_lambda1(w, 4.0, C=Cf, opts=opts, dist=dist)
@@ -295,7 +329,7 @@ class TestTwoConeBound:
         grid, mask, dist, c1, c2 = self._setup()
         w = uniform_weight(grid, mask)
         p = 5.0
-        res = solve_lambda1(w, p, opts=SolverOpts(tol=1e-11), dist=dist)
+        res = solve_lambda1(w, p, opts=SolverOpts(tol=1e-5), dist=dist)
         bound = two_cone_upper_bound(p, c1, c2, 0.3, w, dist)
         assert bound >= res.lambda_root
 
@@ -334,7 +368,7 @@ class TestSweep:
     def test_records_and_warm_start(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = uniform_weight(grid, mask)
-        recs = sweep(w, [2, 4, 8], opts=SolverOpts(tol=1e-9), dist=dist)
+        recs = sweep(w, [2, 4, 8], opts=SolverOpts(tol=1e-5), dist=dist)
         assert [r.p for r in recs] == [2.0, 4.0, 8.0]
         for r in recs:
             assert r.converged
@@ -348,6 +382,6 @@ class TestSweep:
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)
         w = uniform_weight(grid, mask)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
-        recs = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-9), dist=dist)
+        recs = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-5), dist=dist)
         # R+ < 1 here, so the zero-order target is 1/R+ as well
         assert recs[0].target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)

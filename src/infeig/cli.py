@@ -35,12 +35,9 @@ def _setup(cfg: RunConfig):
     return mask, w, dist
 
 
-def cmd_limits(cfg: RunConfig, prefix: str, seed: int) -> int:
+def cmd_limits(cfg: RunConfig, prefix: str) -> int:
     _, w, dist = _setup(cfg)
-    rng = np.random.default_rng(seed)
-    lim = geometry.compute_limits(dist, w,
-                                  max_candidates=cfg.pack.max_candidates,
-                                  rng=rng)
+    lim = geometry.compute_limits(dist, w)
     _write_json(f"{prefix}_limits.json", lim.to_record())
     print(f"R+ = {lim.r_plus:.6g} at node {lim.center_plus}")
     print(f"R2+ = {lim.r2_plus:.6g} at nodes {lim.centers2}")
@@ -102,9 +99,8 @@ def cmd_pack(cfg: RunConfig, prefix: str, seed: int, k: int | None) -> int:
     if kk < 1:
         raise ConfigError(f"pack: k must be >= 1, got {kk}")
     rng = np.random.default_rng(seed)
-    result = geometry.pack(kk, dist, w.plus,
-                           max_candidates=cfg.pack.max_candidates,
-                           rng=rng, restarts=cfg.pack.restarts)
+    result = geometry.pack(kk, dist, w.plus, rng=rng,
+                           restarts=cfg.pack.restarts)
     _write_json(f"{prefix}_pack.json", asdict(result))
     tag = "exact" if result.exact else "heuristic lower bound"
     print(f"pack(k={result.k}): radius={result.radius:.6g} ({tag})")
@@ -137,8 +133,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         prefix = args.out if args.out is not None else cfg.output_prefix
         seed = args.seed if args.seed is not None else cfg.seed
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
         if args.command == "limits":
-            return cmd_limits(cfg, prefix, seed)
+            return cmd_limits(cfg, prefix)
         if args.command == "sweep":
             return cmd_sweep(cfg, prefix, seed)
         if args.command == "check":

@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -21,6 +23,8 @@ from .weight import WeightField, build_weight, regions_weight
 
 
 def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -29,32 +33,68 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _number(v, where: str, positive: bool = False) -> float:
+    """A finite number, and > 0 when `positive`."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x) or (positive and not x > 0):
+        kind = "positive" if positive else "finite"
+        raise ConfigError(f"{where} must be a {kind} number, got {v!r}")
+    return x
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise ConfigError(f"{where} must be a list, got {v!r}")
+    return v
+
+
+def _numbers(v, where: str, n: int | None = None) -> tuple:
+    """A non-empty list of numbers, of length n when n is given."""
+    if not _list(v, where) or (n is not None and len(v) != n):
+        raise ConfigError(f"{where} must be a list of {n or 'one or more'} "
+                          f"numbers, got {v!r}")
+    return tuple(_number(x, where) for x in v)
+
+
+def _integer(v, where: str, lo: int) -> int:
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or (isinstance(v, float) and not v.is_integer()) or v < lo):
+        raise ConfigError(f"{where} must be an integer >= {lo}, got {v!r}")
+    return int(v)
+
+
+SHAPE_KEYS = {"disk": {"center", "radius"}, "rect": {"min", "max"},
+              "polygon": {"vertices"}}
+
+
 def _parse_shape(d: dict, where: str, extra: set = frozenset()):
-    if "shape" not in d:
-        raise ConfigError(f"{where}: shape entry needs a 'shape' key")
-    kind = d["shape"]
+    """A domain or region shape; the `extra` keys are required too."""
+    kind = d.get("shape") if isinstance(d, dict) else None
+    if kind not in SHAPE_KEYS:
+        raise ConfigError(f"{where}: shape must be one of "
+                          f"{sorted(SHAPE_KEYS)}, got {kind!r}")
+    required = SHAPE_KEYS[kind] | extra
+    _require_keys(d, {"shape", "op"} | required, required, where)
     op = d.get("op", "union")
     if op not in ("union", "difference"):
         raise ConfigError(f"{where}: op must be union or difference, got {op!r}")
     if kind == "disk":
-        _require_keys(d, {"shape", "center", "radius", "op"} | extra,
-                      {"center", "radius"}, where)
-        return Disk(tuple(d["center"]), float(d["radius"]), op)
+        return Disk(_numbers(d["center"], f"{where}.center", 2),
+                    _number(d["radius"], f"{where}.radius"), op)
     if kind == "rect":
-        _require_keys(d, {"shape", "min", "max", "op"} | extra,
-                      {"min", "max"}, where)
-        return Rect(tuple(d["min"]), tuple(d["max"]), op)
-    if kind == "polygon":
-        _require_keys(d, {"shape", "vertices", "op"} | extra,
-                      {"vertices"}, where)
-        return Polygon(tuple(tuple(v) for v in d["vertices"]), op)
-    raise ConfigError(f"{where}: unknown shape kind {kind!r}")
+        return Rect(_numbers(d["min"], f"{where}.min", 2),
+                    _numbers(d["max"], f"{where}.max", 2), op)
+    verts = _list(d["vertices"], f"{where}.vertices")
+    return Polygon(tuple(_numbers(v, f"{where}.vertex", 2) for v in verts), op)
 
 
 @dataclass(frozen=True)
 class PackConfig:
     k: int = 2
-    max_candidates: int = 4000
+    max_candidates: int = 4000  # not a config key; read by bench/traced.py
     restarts: int = 4
 
 
@@ -62,7 +102,7 @@ class PackConfig:
 class RunConfig:
     grid: Grid
     domain: tuple
-    weight_spec: dict
+    make_weight: Callable[[Grid, DomainMask], WeightField]
     zero_order: float | None = None
     p_list: tuple = (4.0, 8.0, 16.0, 32.0)
     solver: SolverOpts = SolverOpts()
@@ -75,25 +115,7 @@ class RunConfig:
         return rasterize(self.domain, self.grid)
 
     def build_weight(self, mask: DomainMask) -> WeightField:
-        spec = self.weight_spec
-        kind = spec["kind"]
-        if kind == "regions":
-            regions = [(_parse_shape(r, "weight.regions", {"value"}),
-                        r["value"]) for r in spec.get("regions", [])]
-            return regions_weight(spec.get("background", 0.0), regions,
-                                  self.grid, mask)
-        if kind == "affine":
-            a, b = spec["gradient"]
-            c = spec.get("offset", 0.0)
-            return build_weight(lambda X, Y: a * X + b * Y + c, self.grid, mask)
-        if kind == "radial":
-            cx, cy = spec.get("center", (0.0, 0.0))
-            coeffs = list(spec["coeffs"])
-            return build_weight(
-                lambda X, Y: np.polynomial.polynomial.polyval(
-                    np.hypot(X - cx, Y - cy), coeffs),
-                self.grid, mask)
-        raise ConfigError(f"weight: unknown kind {kind!r}")
+        return self.make_weight(self.grid, mask)
 
     def zero_order_field(self, mask: DomainMask):
         if self.zero_order is None:
@@ -121,78 +143,74 @@ def parse_config(raw: dict) -> RunConfig:
 
     g = raw["grid"]
     _require_keys(g, {"nx", "ny", "h", "origin"}, {"nx", "ny", "h"}, "grid")
-    try:
-        grid = Grid(int(g["nx"]), int(g["ny"]), float(g["h"]),
-                    tuple(g.get("origin", (0.0, 0.0))))
-    except ValueError as e:
-        raise ConfigError(f"grid: {e}") from e
+    grid = Grid(_integer(g["nx"], "grid.nx", 3), _integer(g["ny"], "grid.ny", 3),
+                _number(g["h"], "grid.h", positive=True),
+                _numbers(g.get("origin", [0.0, 0.0]), "grid.origin", 2))
 
-    if not raw["domain"]:
+    if not _list(raw["domain"], "domain"):
         raise ConfigError("domain: primitive list is empty")
     domain = tuple(_parse_shape(d, f"domain[{i}]")
                    for i, d in enumerate(raw["domain"]))
 
     wspec = raw["weight"]
-    if "kind" not in wspec:
-        raise ConfigError("weight: needs a 'kind' key")
-    allowed = {
-        "regions": ({"kind", "background", "regions"}, set()),
-        "affine": ({"kind", "gradient", "offset"}, {"gradient"}),
-        "radial": ({"kind", "center", "coeffs"}, {"coeffs"}),
-    }
-    if wspec["kind"] not in allowed:
-        raise ConfigError(f"weight: unknown kind {wspec['kind']!r}")
-    _require_keys(wspec, *allowed[wspec["kind"]], "weight")
+    kind = wspec.get("kind") if isinstance(wspec, dict) else None
+    if kind == "regions":
+        _require_keys(wspec, {"kind", "background", "regions"}, set(), "weight")
+        regions = tuple((_parse_shape(r, f"weight.regions[{i}]", {"value"}),
+                         _number(r["value"], f"weight.regions[{i}].value"))
+                        for i, r in enumerate(_list(wspec.get("regions", []),
+                                                    "weight.regions")))
+        make_weight = partial(regions_weight, _number(
+            wspec.get("background", 0.0), "weight.background"), regions)
+    elif kind == "affine":
+        _require_keys(wspec, {"kind", "gradient", "offset"}, {"gradient"},
+                      "weight")
+        a, b = _numbers(wspec["gradient"], "weight.gradient", 2)
+        c = _number(wspec.get("offset", 0.0), "weight.offset")
+        make_weight = partial(build_weight, lambda X, Y: a * X + b * Y + c)
+    elif kind == "radial":
+        _require_keys(wspec, {"kind", "center", "coeffs"}, {"coeffs"}, "weight")
+        cx, cy = _numbers(wspec.get("center", [0.0, 0.0]), "weight.center", 2)
+        coeffs = list(_numbers(wspec["coeffs"], "weight.coeffs"))
+        make_weight = partial(build_weight, lambda X, Y: (
+            np.polynomial.polynomial.polyval(np.hypot(X - cx, Y - cy), coeffs)))
+    else:
+        raise ConfigError(f"weight: unknown kind {kind!r}")
 
     zo = raw.get("zero_order")
     if zo is not None:
         _require_keys(zo, {"value"}, {"value"}, "zero_order")
-        try:
-            zo = float(zo["value"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"zero_order.value: {e}") from e
-        if not zo > 0:
-            raise ConfigError("zero_order.value must be positive")
+        zo = _number(zo["value"], "zero_order.value", positive=True)
 
-    p_list = tuple(float(p) for p in raw.get("p_list", (4, 8, 16, 32)))
-    for p in p_list:
-        if not (2 <= p <= 64) or not math.isfinite(p):
-            raise ConfigError(f"p_list entries must lie in [2, 64], got {p}")
-    if list(p_list) != sorted(p_list):
-        raise ConfigError(f"p_list must be increasing, got {list(p_list)}")
+    p_list = _numbers(raw.get("p_list", [4, 8, 16, 32]), "p_list")
+    if not all(2 <= p <= 64 for p in p_list):
+        raise ConfigError(f"p_list entries must lie in [2, 64], "
+                          f"got {list(p_list)}")
+    if any(b <= a for a, b in zip(p_list, p_list[1:])):
+        raise ConfigError(f"p_list must be strictly increasing, "
+                          f"got {list(p_list)}")
 
     s = raw.get("solver", {})
     _require_keys(s, {"tol", "max_iter"}, set(), "solver")
-    try:
-        tol = float(s.get("tol", SolverOpts.tol))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"solver.tol: {e}") from e
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"solver.tol (relative KKT residual) must be "
-                          f"positive and finite, got {tol}")
-    max_iter = s.get("max_iter", SolverOpts.max_iter)
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, float))
-            or (isinstance(max_iter, float) and not max_iter.is_integer())
-            or max_iter < 1):
-        raise ConfigError(f"solver.max_iter must be an integer >= 1, "
-                          f"got {max_iter!r}")
-    solver = SolverOpts(tol=tol, max_iter=int(max_iter))
+    solver = SolverOpts(
+        tol=_number(s.get("tol", SolverOpts.tol), "solver.tol", positive=True),
+        max_iter=_integer(s.get("max_iter", SolverOpts.max_iter),
+                          "solver.max_iter", 1))
 
     pk = raw.get("pack", {})
-    _require_keys(pk, {"k", "max_candidates", "restarts"}, set(), "pack")
-    pack = PackConfig(k=int(pk.get("k", 2)),
-                      max_candidates=int(pk.get("max_candidates", 4000)),
-                      restarts=int(pk.get("restarts", 4)))
+    _require_keys(pk, {"k", "restarts"}, set(), "pack")
+    pack = PackConfig(k=_integer(pk.get("k", 2), "pack.k", 1),
+                      restarts=_integer(pk.get("restarts", 4),
+                                        "pack.restarts", 1))
 
     v = raw.get("viscosity", {})
     _require_keys(v, {"kink_tol", "c_tol", "eps_regime"}, set(), "viscosity")
-    visc = CheckOpts(
-        kink_tol=None if v.get("kink_tol") is None else float(v["kink_tol"]),
-        c_tol=float(v.get("c_tol", CheckOpts.c_tol)),
-        eps_regime=None if v.get("eps_regime") is None else float(v["eps_regime"]))
+    visc = CheckOpts(**{key: None if x is None and key != "c_tol"
+                        else _number(x, f"viscosity.{key}")
+                        for key, x in v.items()})
 
-    return RunConfig(grid=grid, domain=domain, weight_spec=wspec,
+    return RunConfig(grid=grid, domain=domain, make_weight=make_weight,
                      zero_order=zo, p_list=p_list, solver=solver, pack=pack,
                      viscosity=visc,
                      output_prefix=str(raw.get("output_prefix", "run")),
-                     seed=int(raw.get("seed", 0)))
+                     seed=_integer(raw.get("seed", 0), "seed", 0))

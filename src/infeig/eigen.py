@@ -367,10 +367,10 @@ def sweep(w: WeightField, p_list, C: ScalarField | None = None,
           opts: SolverOpts | None = None,
           dist: DistanceField | None = None,
           return_fields: bool = False):
-    """Principal-eigenvalue solves over an increasing p list, warm-started,
+    """Warm-started principal-eigenvalue solves over strictly increasing p,
     with the geometric target and the discrete cone bound per entry."""
-    if list(p_list) != sorted(p_list):
-        raise ValueError("p_list must be increasing")
+    if any(b <= a for a, b in zip(p_list, list(p_list)[1:])):
+        raise ValueError("p_list must be strictly increasing")
     if dist is None:
         dist = edt(w.mask)
     rp, _ = r_plus(dist, w.plus)

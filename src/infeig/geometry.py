@@ -15,9 +15,6 @@ from .errors import GeometryError, InfeasiblePackingError, NoPositiveRegionError
 from .grid import DistanceField, Grid, ScalarField
 from .weight import WeightField
 
-PAIR_SEARCH_MAX_CANDIDATES = 4000
-
-
 @dataclass(frozen=True)
 class PackingResult:
     k: int
@@ -55,53 +52,61 @@ def r_plus(dist: DistanceField, plus_mask: np.ndarray) -> tuple[float, tuple[int
     return float(dist.d[ij]), (int(ij[0]), int(ij[1]))
 
 
-def _pair_objective(d, pts, h):
-    """Objective matrix min(d_i, d_j, |x_i - x_j|/2) for all candidate pairs."""
-    dv = d[pts[:, 0], pts[:, 1]]
-    # chunk the pairwise pass to bound memory on large candidate sets
-    n = len(pts)
-    best = -np.inf
-    best_pair = (0, 0)
-    xy = pts * h
-    for lo in range(0, n, 512):
-        hi = min(lo + 512, n)
-        dx = xy[lo:hi, None, 0] - xy[None, :, 0]
-        dy = xy[lo:hi, None, 1] - xy[None, :, 1]
-        sep = 0.5 * np.hypot(dx, dy)
-        obj = np.minimum(np.minimum(dv[lo:hi, None], dv[None, :]), sep)
-        k = int(np.argmax(obj))
-        i, j = divmod(k, n)
-        if obj[i, j] > best:
-            best = float(obj[i, j])
-            best_pair = (lo + i, j)
-    return best, best_pair
+def _farthest_pair(sel: np.ndarray, h: float):
+    """Half the diameter of the nodes in the mask `sel` and a pair of nodes
+    at that distance. Every convex-hull vertex of a node set is the first or
+    last node of its row, so only those (at most 2*nx) are compared.
+    """
+    rows = np.flatnonzero(sel.any(axis=1))
+    first = np.argmax(sel[rows], axis=1)
+    last = sel.shape[1] - 1 - np.argmax(sel[rows, ::-1], axis=1)
+    ends = np.column_stack([np.tile(rows, 2), np.concatenate([first, last])])
+    half = 0.5 * h * np.hypot(ends[:, None, 0] - ends[None, :, 0],
+                              ends[:, None, 1] - ends[None, :, 1])
+    a, b = np.unravel_index(int(np.argmax(half)), half.shape)
+    return float(half[a, b]), tuple(map(tuple, ends[[a, b]].tolist()))
 
 
-def _best_partner(d, pts, h, fixed_ij):
-    """Best second center over all candidates, first fixed. Returns (value, idx)."""
-    dv = d[pts[:, 0], pts[:, 1]]
-    dfix = d[fixed_ij[0], fixed_ij[1]]
-    sep = 0.5 * h * np.hypot(pts[:, 0] - fixed_ij[0], pts[:, 1] - fixed_ij[1])
-    obj = np.minimum(np.minimum(dv, dfix), sep)
-    k = int(np.argmax(obj))
-    return float(obj[k]), k
+def _pack2(d: np.ndarray, plus_mask: np.ndarray, h: float):
+    """Exact max over node pairs of min(d_i, d_j, |x_i - x_j| / 2).
+
+    With S_r the plus nodes where d >= r and D(r) half the diameter of S_r,
+    the pair optimum is the max over the levels r of d of min(r, D(r)).
+    Along the sorted levels r grows and D(r) shrinks, so a bisection finds
+    the last level with r <= D(r); the optimum is that r or D(r) at the
+    next level up. Returns (radius, centers).
+    """
+    levels = np.unique(d[plus_mask])
+    lo, hi = 0, len(levels)
+    below = above = None  # (value, centers) at levels lo - 1 and hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        half, centers = _farthest_pair(plus_mask & (d >= levels[mid]), h)
+        if levels[mid] <= half:
+            lo, below = mid + 1, (float(levels[mid]), centers)
+        else:
+            hi, above = mid, (half, centers)
+    return max((c for c in (below, above) if c is not None),
+               key=lambda c: c[0])
 
 
 def pack(k: int, dist: DistanceField, plus_mask: np.ndarray,
-         max_candidates: int = PAIR_SEARCH_MAX_CANDIDATES,
          rng: np.random.Generator | None = None,
-         restarts: int = 4) -> PackingResult:
+         restarts: int = 4, max_candidates=None) -> PackingResult:
     """Largest common radius of k disjoint balls inside the domain with
     centers on the plus mask.
 
-    k = 1 reduces to the inscribed-ball maximum. k = 2 is an exhaustive pair
-    search (exact when no candidate coarsening kicks in; coarsened runs are
-    refined by alternating full-grid sweeps). k >= 3 uses farthest-point
-    seeding plus coordinate descent and is a LOWER bound on the true radius,
-    reported with exact=False.
+    k = 1 reduces to the inscribed-ball maximum and k = 2 to an exact pair
+    search by bisection over the distance levels (see `_pack2`); both are
+    reported with exact=True at every grid size. k >= 3 uses farthest-point
+    seeding plus coordinate descent over `restarts` seeds drawn from `rng`
+    and is a LOWER bound on the true radius, reported with exact=False.
+    `max_candidates` is ignored; bench/traced.py still passes it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if int(restarts) != restarts or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     if not plus_mask.any():
         raise NoPositiveRegionError("no positive region")
     pts = np.argwhere(plus_mask)
@@ -116,26 +121,8 @@ def pack(k: int, dist: DistanceField, plus_mask: np.ndarray,
         return PackingResult(1, val, (ij,), exact=True)
 
     if k == 2:
-        coarsened = len(pts) > max_candidates
-        cand = pts
-        if coarsened:
-            stride = int(np.ceil(len(pts) / max_candidates))
-            cand = pts[::stride]
-        best, (a, b) = _pair_objective(d, cand, h)
-        c1 = (int(cand[a, 0]), int(cand[a, 1]))
-        c2 = (int(cand[b, 0]), int(cand[b, 1]))
-        if coarsened:
-            # alternating full-resolution sweeps until stationary
-            for _ in range(32):
-                v1, kk = _best_partner(d, pts, h, c1)
-                nc2 = (int(pts[kk, 0]), int(pts[kk, 1]))
-                v2, kk = _best_partner(d, pts, h, nc2)
-                nc1 = (int(pts[kk, 0]), int(pts[kk, 1]))
-                if max(v1, v2) <= best:
-                    break
-                best = max(v1, v2)
-                c1, c2 = nc1, nc2
-        return PackingResult(2, best, (c1, c2), exact=not coarsened)
+        radius, centers = _pack2(d, plus_mask, h)
+        return PackingResult(2, radius, centers, exact=True)
 
     # k >= 3: greedy farthest-point seeding + coordinate descent, with a few
     # randomized restarts.
@@ -228,19 +215,12 @@ def two_cone_field(alpha: float, beta: float, c1, c2, radius: float,
     return ScalarField(grid, alpha * u1 + beta * u2)
 
 
-def compute_limits(dist: DistanceField, w: WeightField,
-                   max_candidates: int = PAIR_SEARCH_MAX_CANDIDATES,
-                   rng: np.random.Generator | None = None) -> GeoLimits:
+def compute_limits(dist: DistanceField, w: WeightField) -> GeoLimits:
     """All scalar limit quantities derived from the domain geometry and the
-    sign partition of the weight."""
+    sign partition of the weight; R2+ is the exact k = 2 packing."""
     rp, cp = r_plus(dist, w.plus)
-    p2 = pack(2, dist, w.plus, max_candidates=max_candidates, rng=rng)
-    if w.minus.any():
-        rm, _ = r_plus(dist, w.minus)
-        mu1_inf = -1.0 / rm
-    else:
-        rm = None
-        mu1_inf = None
+    p2 = pack(2, dist, w.plus)
+    rm = r_plus(dist, w.minus)[0] if w.minus.any() else None
     return GeoLimits(
         r_plus=rp,
         center_plus=cp,
@@ -249,6 +229,6 @@ def compute_limits(dist: DistanceField, w: WeightField,
         centers2=p2.centers,
         lambda1_inf=1.0 / rp,
         lambda2_inf=1.0 / p2.radius,
-        mu1_inf=mu1_inf,
+        mu1_inf=None if rm is None else -1.0 / rm,
         lambda1_inf_C=max(1.0 / rp, 1.0),
     )

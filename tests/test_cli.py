@@ -109,8 +109,34 @@ MALFORMED = {
     "field_non_numeric_cell": check_argv(
         lambda hd, body: (hd, ["abc" + body[0][1:]] + body[1:])),
     "p_list_decreasing": config_argv("sweep", p_list=[8, 4]),
+    "p_list_repeated": config_argv("sweep", p_list=[4, 4]),
     "pack_k_zero": config_argv("pack", pack={"k": 0}),
     "pack_flag_k_zero": config_argv("pack", "--k", "0"),
+    "pack_flag_seed_negative": config_argv("pack", "--k", "3", "--seed", "-1"),
+    "pack_restarts_zero": config_argv("pack", "--k", "3", pack={"restarts": 0}),
+    "pack_restarts_non_numeric": config_argv("pack", "--k", "3",
+                                             pack={"restarts": "abc"}),
+    "region_value_missing": config_argv("limits", weight={
+        "kind": "regions", "background": -1.0, "regions": [
+            {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5}]}),
+    "region_value_non_numeric": config_argv("limits", weight={
+        "kind": "regions", "background": -1.0, "regions": [
+            {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5,
+             "value": "abc"}]}),
+    "affine_gradient_one_element": config_argv(
+        "limits", weight={"kind": "affine", "gradient": [1.0]}),
+    "disk_center_one_element": config_argv(
+        "limits", domain=[{"shape": "disk", "center": [0.0], "radius": 1.0}]),
+    "grid_nx_null": config_argv("limits",
+                                grid={"nx": None, "ny": 9, "h": 0.25}),
+    "viscosity_c_tol_non_numeric": config_argv("limits",
+                                               viscosity={"c_tol": "abc"}),
+    "seed_non_numeric": config_argv("limits", seed="abc"),
+    "solver_not_object": config_argv("sweep", solver=5),
+    "weight_not_object": config_argv("limits", weight=[1.0]),
+    "domain_not_list": config_argv("limits", domain={"shape": "disk"}),
+    "regions_not_list": config_argv("limits", weight={
+        "kind": "regions", "background": 1.0, "regions": 5}),
     "zero_order_non_numeric": config_argv("sweep", zero_order={"value": "abc"}),
     "solver_tol_non_numeric": config_argv("sweep", solver={"tol": "abc"}),
     "solver_tol_negative": config_argv("sweep", solver={"tol": -1.0}),

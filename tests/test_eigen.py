@@ -364,6 +364,8 @@ class TestSweep:
         w = uniform_weight(grid, mask)
         with pytest.raises(ValueError):
             sweep(w, [8, 4], dist=dist)
+        with pytest.raises(ValueError):
+            sweep(w, [4, 4], dist=dist)
 
     def test_records_and_warm_start(self):
         grid, mask, dist = disk_setup(1 / 32)

@@ -1,10 +1,12 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from conftest import (disk_setup, example1_weight, example2_weight,
-                      example3_weight, uniform_weight)
-from infeig import (DomainMask, Grid, cone_field, compute_limits, edt, pack,
-                    r_plus, two_cone_field)
+                      example3_weight, random_mask, uniform_weight)
+from infeig import (Disk, DomainMask, Grid, cone_field, compute_limits, edt,
+                    pack, r_plus, rasterize, two_cone_field)
 from infeig.errors import (GeometryError, InfeasiblePackingError,
                            NoPositiveRegionError)
 from infeig.eigen import dirichlet_energy_p
@@ -21,6 +23,32 @@ def brute_force_pack2(dist, plus_mask):
         obj = np.minimum(np.minimum(d[pts[:, 0], pts[:, 1]], da), sep)
         best = max(best, obj.max())
     return best
+
+
+def disk_h23():
+    grid, mask, dist = disk_setup(1 / 23)
+    return dist, uniform_weight(grid, mask).plus
+
+
+def sweep_grid_disk():
+    # the 96x96 acceptance sweep grid: 6408 plus nodes
+    grid = Grid(96, 96, 2.1 / 95, (-1.05, -1.05))
+    mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+    return edt(mask), mask.inside
+
+
+def random_plus(seed):
+    rng = np.random.default_rng(seed)
+    inside = random_mask(rng)
+    dist = edt(DomainMask(Grid(32, 32, 0.41), inside))
+    while True:
+        plus = inside & (rng.random(inside.shape) < rng.uniform(0.02, 1.0))
+        if plus.sum() >= 2:
+            return dist, plus
+
+
+PACK2_CASES = {"disk_h23": disk_h23, "sweep_grid_disk_96": sweep_grid_disk,
+               **{f"random_{s}": partial(random_plus, s) for s in range(6)}}
 
 
 class TestRPlus:
@@ -85,12 +113,12 @@ class TestPack:
         res = pack(2, dist, w.plus)
         assert abs(res.radius - 0.5) <= 2 / 128
 
-    def test_pack2_exact_matches_brute_force(self):
-        grid, mask, dist = disk_setup(1 / 23)
-        w = uniform_weight(grid, mask)
-        res = pack(2, dist, w.plus)
+    @pytest.mark.parametrize("case", sorted(PACK2_CASES))
+    def test_pack2_exact_matches_brute_force(self, case):
+        dist, plus = PACK2_CASES[case]()
+        res = pack(2, dist, plus)
         assert res.exact
-        assert res.radius == brute_force_pack2(dist, w.plus)
+        assert res.radius == brute_force_pack2(dist, plus)
 
     def test_pack_validity(self):
         grid, mask, dist = disk_setup(1 / 64)
@@ -121,6 +149,13 @@ class TestPack:
         assert r_plus(dist, sub.plus)[0] <= r_plus(dist, w.plus)[0]
         assert (pack(2, dist, sub.plus).radius
                 <= pack(2, dist, w.plus).radius + 1e-12)
+
+    @pytest.mark.parametrize("restarts", [0, 2.5, "abc"])
+    def test_restarts_must_be_positive_integer(self, restarts):
+        grid, mask, dist = disk_setup(1 / 16)
+        w = uniform_weight(grid, mask)
+        with pytest.raises(ValueError):
+            pack(3, dist, w.plus, restarts=restarts)
 
     def test_infeasible(self):
         grid, mask, dist = disk_setup(1 / 16)

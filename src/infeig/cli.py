@@ -51,7 +51,7 @@ def cmd_limits(cfg: RunConfig, prefix: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig, prefix: str, seed: int) -> int:
+def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
     mask, w, dist = _setup(cfg)
     C = cfg.zero_order_field(mask)
     records, fields = eigen.sweep(w, cfg.p_list, C=C, opts=cfg.solver,
@@ -138,7 +138,7 @@ def main(argv=None) -> int:
         if args.command == "limits":
             return cmd_limits(cfg, prefix)
         if args.command == "sweep":
-            return cmd_sweep(cfg, prefix, seed)
+            return cmd_sweep(cfg, prefix)
         if args.command == "check":
             return cmd_check(cfg, prefix, args.field, args.lam)
         if args.command == "pack":

@@ -7,13 +7,18 @@ fields; a solve is converged only when its relative KKT residual is below
 the tolerance, and the returned field has unit weighted p-mass. All p-th
 roots and normalizations go through log space so p = 64 stays finite in
 doubles.
+
+The solver does not call the public kernels: it evaluates each trial in
+one private pass whose power arrays the gradient at the accepted trial
+reuses, and keeps its L-BFGS memory with the pairs' Gram matrices. The
+public kernels are the reference the tests hold the solver to.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
@@ -151,9 +156,13 @@ def weighted_mass_grad(u: ScalarField, w: WeightField, p: float) -> np.ndarray:
 
 def rayleigh(u: ScalarField, w: WeightField, p: float,
              C: ScalarField | None = None) -> float:
-    e, _ = dirichlet_energy_p(u, p, C)
-    g = weighted_mass_p(u, w, p)
-    return e / g
+    """E(u) / G(u), through log space when the weighted mass is positive
+    (so the quotient's zero homogeneity survives over- and underflow of
+    both sums), else the plain quotient."""
+    ev = _log_rayleigh(u.u, w, p, C)
+    if ev is not None:
+        return math.exp(ev[0]) if ev[0] < 700 else math.inf
+    return dirichlet_energy_p(u, p, C)[0] / weighted_mass_p(u, w, p)
 
 
 def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
@@ -186,30 +195,71 @@ def seed_cone(w: WeightField, p: float,
     raise SeedMassError("cannot seed positive mass")
 
 
-def _lbfgs_direction(g: np.ndarray, pairs, free: np.ndarray) -> np.ndarray:
-    """-H g by the two-loop recursion over the stored (s, y) pairs, with every
-    vector restricted to the free variables; zero on the bound ones."""
-    sel = slice(None) if free.all() else free
-    q = g[sel]
-    hist = []
-    for s, y in pairs:
-        s, y = s[sel], y[sel]
-        sy = s @ y
-        if sy > 0.0:
-            hist.append((s, y, sy))
-    alphas = []
-    for s, y, sy in reversed(hist):
-        a = (s @ q) / sy
-        q = q - a * y
-        alphas.append(a)
-    if hist:
-        s, y, sy = hist[-1]
-        q = q * (sy / (y @ y))
-    for (s, y, sy), a in zip(hist, reversed(alphas)):
-        q = q + (a - (y @ q) / sy) * s
-    d = np.zeros_like(g)
-    d[sel] = -q
-    return d
+class _Memory:
+    """The last ``_MEMORY`` curvature pairs (s, y), as rows of S and Y, with
+    their Gram matrices SY[i, j] = s_i . y_j and YY[i, j] = y_i . y_j, so
+    that the two-loop recursion runs on m x m scalars. ``order`` lists the
+    live slots oldest first; the other rows hold zeros or old pairs and get
+    zero coefficients."""
+
+    def __init__(self, n: int):
+        self.V = np.zeros((2 * _MEMORY, n))  # S on top of Y
+        self.S, self.Y = self.V[:_MEMORY], self.V[_MEMORY:]
+        self.SY = np.zeros((_MEMORY, _MEMORY))
+        self.YY = np.zeros((_MEMORY, _MEMORY))
+        self.order = []
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def clear(self) -> None:
+        self.order.clear()
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Store a pair of finite vectors, replacing the oldest when full."""
+        slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
+        self.S[slot], self.Y[slot] = s, y
+        self.SY[slot, :] = self.Y @ s
+        vy = self.V @ y
+        self.SY[:, slot] = vy[:_MEMORY]
+        self.YY[slot, :] = self.YY[:, slot] = vy[_MEMORY:]
+        self.order.append(slot)
+
+    def direction(self, g: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """-H g by the two-loop recursion over the stored pairs, with every
+        vector restricted to the free variables; zero on the bound ones.
+        Pairs with s . y <= 0 on the free set are skipped, and the initial
+        scaling comes from the newest kept pair."""
+        SY, YY = self.SY, self.YY
+        bound = ~free
+        has_bound = bound.any()
+        if has_bound:
+            # free-set Gram = full Gram minus the bound columns' products
+            Sb, Yb = self.S[:, bound], self.Y[:, bound]
+            SY = SY - Sb @ Yb.T
+            YY = YY - Yb @ Yb.T
+            g = np.where(free, g, 0.0)
+        vg = (self.V @ g).tolist()
+        sg, yg = vg[:_MEMORY], vg[_MEMORY:]
+        sy, ys, yy = SY.tolist(), SY.T.tolist(), YY.tolist()
+        hist = [i for i in self.order if sy[i][i] > 0.0]
+        # -d = gamma (g - a Y) + c S: a_i = s_i . q / s_i . y_i newest first,
+        # then c_i = a_i - y_i . q / s_i . y_i oldest first, where q is the
+        # two-loop vector at that point
+        a = [0.0] * _MEMORY
+        for i in reversed(hist):
+            a[i] = (sg[i] - sum(map(mul, a, sy[i]))) / sy[i][i]
+        gamma = sy[hist[-1]][hist[-1]] / yy[hist[-1]][hist[-1]] if hist else 1.0
+        c = [0.0] * _MEMORY
+        for i in hist:
+            yq = (gamma * (yg[i] - sum(map(mul, a, yy[i])))
+                  + sum(map(mul, c, ys[i])))
+            c[i] = a[i] - yq / sy[i][i]
+        d = np.array([-ci for ci in c] + [gamma * ai for ai in a]) @ self.V
+        d -= gamma * g
+        if has_bound:
+            d[bound] = 0.0
+        return d
 
 
 def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
@@ -222,16 +272,20 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     Cauchy point).
 
     The direction is the two-loop recursion on the free variables (not
-    u = 0 with df > 0), reset to -df when it is not a descent direction. The
-    line search backtracks on the projected arc max(u + tau d, 0) and accepts
-    only a strict Armijo decrease with positive weighted mass, so each
-    accepted step (one iteration, one ``callback(loglam)``) strictly
-    decreases lambda. ``converged`` certifies stationarity: the relative KKT
-    residual max|P(dE - lam dG)| / max|dE| over inside nodes, with P dropping
-    positive components where u = 0, is at most ``opts.tol``. ``stop`` says
-    why the solve ended: "tol", "max_iter", "line_search" (no trial
-    decreases lambda, the floating-point floor) or "nonfinite". The field is
-    normalized to unit weighted p-mass.
+    u = 0 with df > 0), run on the Gram matrices of the stored pairs, and is
+    reset to -df when it is not a descent direction. The line search
+    backtracks on the projected arc max(u + tau d, 0) and accepts only a
+    strict Armijo decrease with positive weighted mass, so each accepted
+    step (one iteration, one ``callback(loglam)``) strictly decreases
+    lambda. Each trial is evaluated in one pass that keeps its powers, and
+    the gradient at an accepted trial reuses them. ``converged`` certifies
+    stationarity: the relative KKT residual max|P(dE - lam dG)| / max|dE|
+    over inside nodes, with P dropping positive components where u = 0, is
+    at most ``opts.tol``. ``stop`` says why the solve ended: "tol",
+    "max_iter", "line_search" (no trial decreases lambda, the floating-point
+    floor) or "nonfinite". A warm start ``u0`` enters as |u0|; without one,
+    or when its weighted mass is not positive, the seed cone is used. The
+    field is normalized to unit weighted p-mass.
     """
     _check_p(p)
     if C is not None and np.any(C.u[w.mask.inside] <= 0):
@@ -240,42 +294,92 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     grid = w.grid
     inside = w.mask.inside
     h = grid.h
+    log_h = math.log(h)
+    m = w.m[inside]
+    c_in = None if C is None else C.u[inside]
+    u = np.zeros(inside.shape)
+    cells = np.zeros(inside.shape)  # scatter buffer of the energy gradient
 
-    u = None if u0 is None else np.where(inside, u0.u, 0.0)
-    if u is None or _log_power_sum(np.abs(u), w.m, p, h)[0] <= 0:
-        u = seed_cone(w, p, dist, opts.seed_shrink).u
-
-    def gradient(x, loglam, logG):
-        """(df, relative KKT residual) at x. The kernels run on the unit-mass
-        rescaling uh = c u, where f's gradient is c (dE - lam dG) / lam."""
-        c = math.exp(-logG / p)
+    def evaluate(x):
+        """One pass at x >= 0: (log lambda, log G, cache), or None when the
+        weighted mass is not positive. With M = max x, t = x / M and the
+        cell differences ux, uy (not divided by h), gn = (ux^2 + uy^2) /
+        max(ux^2 + uy^2); the cache keeps t^(p-1) and gn^(p/2-1), from which
+        the p-th powers of the sums are one product away."""
+        M = x.max()
+        if M == 0.0:
+            return None
+        t = x / M
+        tp1 = t ** (p - 1)
+        r = tp1 * t
+        sm = float(m @ r)
+        if sm <= 0.0:
+            return None
         u[inside] = x
-        uh = ScalarField(grid, u * c)
+        ux = u[1:, :-1] - u[:-1, :-1]
+        uy = u[:-1, 1:] - u[:-1, :-1]
+        gn = ux * ux + uy * uy
+        gmax = gn.max()  # > 0: the outside collar is zero and M > 0
+        gn /= gmax
+        pg = gn ** (p / 2 - 1)
+        log_M = math.log(M)
+        log_g2max = math.log(gmax) - 2 * log_h  # log max |grad u|^2
+        logG = 2 * log_h + p * log_M + math.log(sm)
+        logE = 2 * log_h + p / 2 * log_g2max + math.log(float(np.vdot(pg, gn)))
+        if C is not None:
+            logE = float(np.logaddexp(
+                logE, 2 * log_h + p * log_M + math.log(float(c_in @ r))))
+        return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
+
+    def gradient(x, loglam, logG, cache):
+        """(df, relative KKT residual) at the accepted trial x from its
+        cache. On the unit-mass rescaling uh = c u, f's gradient is
+        c (dE - lam dG) / lam; dE's cell part is kg * sum(pg (ux, uy)) and
+        the mass and C parts km * coef * t^(p-1), with kg and km in logs."""
+        tp1, sm, ux, uy, pg, log_g2max = cache
+        log_c = -logG / p
+        log_p = math.log(p)
+        log_kg = log_p + log_c + (p / 2 - 1) * (2 * log_c + log_g2max)
+        log_km = 2 * log_h + log_p - (p - 1) / p * (2 * log_h + math.log(sm))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            lam = np.exp(loglam)
-            gE = dirichlet_energy_grad(uh, p, C)[inside]
-            r = gE - lam * weighted_mass_grad(uh, w, p)[inside]
+            # everything below is divided by kg, which the KKT ratio ignores
+            sx, sy = pg * ux, pg * uy
+            cells[:-1, :-1] = -(sx + sy)
+            cells[-1, :] = 0.0
+            cells[:-1, -1] = 0.0
+            cells[1:, :-1] += sx
+            cells[:-1, 1:] += sy
+            gE = cells[inside]
+            if C is not None:
+                gE += (np.exp(log_km - log_kg) * c_in) * tp1
+            r = gE - (np.exp(log_km - log_kg + loglam) * m) * tp1
             kkt = np.abs(np.where((x == 0.0) & (r > 0.0), 0.0, r)).max()
-            return r * (c / lam), float(kkt / np.abs(gE).max())
+            r *= np.exp(log_kg + log_c - loglam)
+            return r, float(kkt / np.abs(gE).max())
 
     def line_search(x, g, d, loglam, tau):
-        """(x, (log lambda, log G), tau) at the first of tau, tau/2, ... on
-        the projected arc with positive mass and a strict Armijo decrease,
-        or None."""
+        """(x, evaluation, tau) at the first of tau, tau/2, ... on the
+        projected arc with positive mass and a strict Armijo decrease, or
+        None."""
         for _ in range(60):
             xt = np.maximum(x + tau * d, 0.0)
-            u[inside] = xt
-            ev = _log_rayleigh(u, w, p, C)
+            ev = evaluate(xt)
             if ev is not None and ev[0] < loglam and (
                     ev[0] <= loglam + _ARMIJO * (g @ (xt - x))):
                 return xt, ev, tau
             tau *= 0.5
         return None
 
-    x = u[inside]
-    loglam, logG = _log_rayleigh(u, w, p, C)
-    g, kkt = gradient(x, loglam, logG)
-    pairs = deque(maxlen=_MEMORY)
+    ev = None
+    if u0 is not None:
+        x = np.abs(u0.u[inside])
+        ev = evaluate(x)
+    if ev is None:
+        x = seed_cone(w, p, dist, opts.seed_shrink).u[inside]
+        ev = evaluate(x)
+    loglam, logG, cache = ev
+    g, kkt = gradient(x, loglam, logG, cache)
+    memory = _Memory(x.size)
     it = 0
     tau = 0.0
     while True:
@@ -290,14 +394,14 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             break
         free = ~((x == 0.0) & (g > 0.0))
         step = None
-        if pairs:
-            d = _lbfgs_direction(g, pairs, free)
+        if memory:
+            d = memory.direction(g, free)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
             # no memory, no descent direction or no decrease along it:
             # restart along -df with a first step of 1% of max u
-            pairs.clear()
+            memory.clear()
             d = np.where(free, -g, 0.0)
             step = line_search(x, g, d, loglam,
                                0.01 * x.max() / np.abs(d).max())
@@ -305,13 +409,13 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             stop = "line_search"
             break
         it += 1
-        xt, (loglam, logG), tau = step
+        xt, (loglam, logG, cache), tau = step
         if callback is not None:
             callback(loglam)
-        gt, kkt = gradient(xt, loglam, logG)
+        gt, kkt = gradient(xt, loglam, logG, cache)
         s, y = xt - x, gt - g
         if s @ y > np.finfo(float).eps * (y @ y):
-            pairs.append((s, y))
+            memory.push(s, y)
         x, g = xt, gt
 
     u[inside] = x

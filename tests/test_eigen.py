@@ -9,8 +9,8 @@ from conftest import disk_setup, example1_weight, uniform_weight
 from infeig import (ScalarField, SolverOpts, cone_field, dirichlet_energy_p,
                     mu1, negate, solve_lambda1, sweep, two_cone_upper_bound,
                     weighted_mass_p)
-from infeig.eigen import (dirichlet_energy_grad, rayleigh, seed_cone,
-                          weighted_mass_grad)
+from infeig.eigen import (_MEMORY, _Memory, dirichlet_energy_grad, rayleigh,
+                          seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 
 
@@ -187,14 +187,16 @@ class TestGradients:
 
 class TestRayleigh:
     def test_zero_homogeneity(self):
-        grid, mask, dist = disk_setup(1 / 32)
+        # at p = 64 both sums of the scaled field over- or underflow
+        grid, mask, dist = disk_setup(1 / 64)
         w = uniform_weight(grid, mask)
         c = (grid.nx // 2, grid.ny // 2)
         u = cone_field(c, 0.5, grid, dist)
-        base = rayleigh(u, w, 5.0)
-        for t in (0.5, 3.0):
-            ut = ScalarField(grid, t * u.u)
-            assert rayleigh(ut, w, 5.0) == pytest.approx(base, rel=1e-12)
+        for p, ts in ((5.0, (0.5, 3.0)), (64.0, (1e-6, 1e6))):
+            base = rayleigh(u, w, p)
+            for t in ts:
+                ut = ScalarField(grid, t * u.u)
+                assert rayleigh(ut, w, p) == pytest.approx(base, rel=1e-12)
 
 
 class TestSolver:
@@ -219,6 +221,18 @@ class TestSolver:
         assert res.converged and res.stop == "tol"
         assert res.residual <= tol
         assert projected_kkt(res, w, C) <= tol
+
+    @pytest.mark.parametrize("zero_order", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 4.0, 64.0])
+    def test_residual_matches_public_kernels(self, zero_order, p):
+        # the solver's gradient reuses each trial's cached powers; the
+        # residual it reports must equal the one the public kernels give
+        grid, mask, dist = disk_setup(1 / 32)
+        w = example1_weight(grid, mask, delta=0.4)
+        C = (ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
+             if zero_order else None)
+        res = solve_lambda1(w, p, C=C, opts=SolverOpts(max_iter=40), dist=dist)
+        assert res.residual == pytest.approx(projected_kkt(res, w, C), rel=1e-6)
 
     def test_stall_is_not_converged(self):
         # tol 1e-12 lies below the floating-point floor of the residual
@@ -316,6 +330,68 @@ class TestSolver:
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
         with_C = solve_lambda1(w, 4.0, C=Cf, opts=opts, dist=dist)
         assert with_C.lam > plain.lam
+
+
+def two_loop_reference(g, pairs, free):
+    """-H g by the plain two-loop recursion over (s, y) pairs (oldest first),
+    restricted to the free variables; pairs with s . y <= 0 there are
+    skipped."""
+    sel = slice(None) if free.all() else free
+    q = g[sel]
+    hist = []
+    for s, y in pairs:
+        s, y = s[sel], y[sel]
+        sy = s @ y
+        if sy > 0.0:
+            hist.append((s, y, sy))
+    alphas = []
+    for s, y, sy in reversed(hist):
+        a = (s @ q) / sy
+        q = q - a * y
+        alphas.append(a)
+    if hist:
+        s, y, sy = hist[-1]
+        q = q * (sy / (y @ y))
+    for (s, y, sy), a in zip(hist, reversed(alphas)):
+        q = q + (a - (y @ q) / sy) * s
+    d = np.zeros_like(g)
+    d[sel] = -q
+    return d
+
+
+class TestLbfgsMemory:
+    @pytest.mark.parametrize("bound_share", [0.0, 0.1])
+    def test_gram_direction_matches_two_loop(self, bound_share):
+        rng = np.random.default_rng(23)
+        n = 400
+        free = rng.random(n) >= bound_share
+        pairs = []
+        for k in range(_MEMORY + 3):  # wraps the ring
+            s = rng.standard_normal(n)
+            y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+            if k == 7:
+                # s . y < 0 on the free set (and overall when all are free)
+                y = np.where(free, -s, 50.0 * s)
+            pairs.append((s, y))
+        if bound_share:
+            s, y = pairs[7]
+            assert s @ y > 0.0 and s[free] @ y[free] <= 0.0
+        mem = _Memory(n)
+        for s, y in pairs:
+            mem.push(s, y)
+        assert len(mem) == _MEMORY
+        for _ in range(3):
+            g = rng.standard_normal(n)
+            d = mem.direction(g, free)
+            ref = two_loop_reference(g, pairs[-_MEMORY:], free)
+            assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+            assert (d[~free] == 0.0).all()
+        mem.clear()
+        mem.push(*pairs[0])
+        g = rng.standard_normal(n)
+        ref = two_loop_reference(g, pairs[:1], free)
+        assert np.abs(mem.direction(g, free) - ref).max() <= (
+            1e-10 * np.abs(ref).max())
 
 
 class TestTwoConeBound:

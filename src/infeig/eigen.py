@@ -3,15 +3,17 @@
 Energy uses per-cell forward differences from each cell's base corner, so
 both the energy and the mass have exact analytic gradients. The principal
 eigenvalue is found by projected L-BFGS on log E - log G over nonnegative
-fields; a solve is converged only when its relative KKT residual is below
-the tolerance, and the returned field has unit weighted p-mass. All p-th
-roots and normalizations go through log space so p = 64 stays finite in
-doubles.
+fields, with the inverse diagonal of the lagged-diffusivity (Kacanov)
+stiffness as the initial Hessian, so the contrast of |grad u|^(p-2) at
+large p does not set the iteration count; a solve is converged only when
+its relative KKT residual is below the tolerance, and the returned field
+has unit weighted p-mass. All p-th roots and normalizations go through log
+space so p = 64 stays finite in doubles.
 
 The solver does not call the public kernels: it evaluates each trial in
-one private pass whose power arrays the gradient at the accepted trial
-reuses, and keeps its L-BFGS memory with the pairs' Gram matrices. The
-public kernels are the reference the tests hold the solver to.
+one private pass whose power arrays the gradient and the diagonal at the
+accepted trial reuse, and keeps its L-BFGS memory with the pairs' Gram
+matrix. The public kernels are the reference the tests hold the solver to.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .weight import WeightField, negate
 P_MAX = 64.0
 _MEMORY = 10    # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 
 
 @dataclass(frozen=True)
@@ -183,8 +186,13 @@ def seed_cone(w: WeightField, p: float,
     its weighted p-mass is positive."""
     if dist is None:
         dist = edt(w.mask)
-    _, center = r_plus(dist, w.plus)
-    radius = dist.d[center]
+    radius, center = r_plus(dist, w.plus)
+    return _seed_at(w, p, center, radius, shrink)
+
+
+def _seed_at(w: WeightField, p: float, center, radius: float,
+             shrink: float = 0.8) -> ScalarField:
+    """``seed_cone`` for a known inscribed-ball centre and radius."""
     h = w.grid.h
     while radius >= 0.5 * h:
         u = cone_field(center, radius, w.grid)
@@ -197,16 +205,14 @@ def seed_cone(w: WeightField, p: float,
 
 class _Memory:
     """The last ``_MEMORY`` curvature pairs (s, y), as rows of S and Y, with
-    their Gram matrices SY[i, j] = s_i . y_j and YY[i, j] = y_i . y_j, so
-    that the two-loop recursion runs on m x m scalars. ``order`` lists the
-    live slots oldest first; the other rows hold zeros or old pairs and get
-    zero coefficients."""
+    their Gram matrix SY[i, j] = s_i . y_j, so that the two-loop recursion
+    runs on m x m scalars. ``order`` lists the live slots oldest first; the
+    other rows hold zeros or old pairs and get zero coefficients."""
 
     def __init__(self, n: int):
-        self.V = np.zeros((2 * _MEMORY, n))  # S on top of Y
-        self.S, self.Y = self.V[:_MEMORY], self.V[_MEMORY:]
+        self.S = np.zeros((_MEMORY, n))
+        self.Y = np.zeros((_MEMORY, n))
         self.SY = np.zeros((_MEMORY, _MEMORY))
-        self.YY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
 
     def __len__(self) -> int:
@@ -220,43 +226,42 @@ class _Memory:
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
         self.S[slot], self.Y[slot] = s, y
         self.SY[slot, :] = self.Y @ s
-        vy = self.V @ y
-        self.SY[:, slot] = vy[:_MEMORY]
-        self.YY[slot, :] = self.YY[:, slot] = vy[_MEMORY:]
+        self.SY[:, slot] = self.S @ y
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """-H g by the two-loop recursion over the stored pairs, with every
-        vector restricted to the free variables; zero on the bound ones.
-        Pairs with s . y <= 0 on the free set are skipped, and the initial
-        scaling comes from the newest kept pair."""
-        SY, YY = self.SY, self.YY
+    def direction(self, g: np.ndarray, free: np.ndarray,
+                  D: np.ndarray) -> np.ndarray:
+        """-H g by the two-loop recursion over the stored pairs with the
+        initial Hessian gamma diag(D), every vector restricted to the free
+        variables; zero on the bound ones. Pairs with s . y <= 0 on the free
+        set are skipped, and gamma = s . y / y . D y of the newest kept
+        pair."""
+        SY = self.SY
         bound = ~free
         has_bound = bound.any()
         if has_bound:
             # free-set Gram = full Gram minus the bound columns' products
-            Sb, Yb = self.S[:, bound], self.Y[:, bound]
-            SY = SY - Sb @ Yb.T
-            YY = YY - Yb @ Yb.T
+            SY = SY - self.S[:, bound] @ self.Y[:, bound].T
             g = np.where(free, g, 0.0)
-        vg = (self.V @ g).tolist()
-        sg, yg = vg[:_MEMORY], vg[_MEMORY:]
-        sy, ys, yy = SY.tolist(), SY.T.tolist(), YY.tolist()
+            D = np.where(free, D, 0.0)
+        YD = self.Y * D
+        sg, ydg = (self.S @ g).tolist(), (YD @ g).tolist()
+        sy, ys, ydy = SY.tolist(), SY.T.tolist(), (YD @ self.Y.T).tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
-        # -d = gamma (g - a Y) + c S: a_i = s_i . q / s_i . y_i newest first,
-        # then c_i = a_i - y_i . q / s_i . y_i oldest first, where q is the
-        # two-loop vector at that point
+        # -d = gamma D (g - a Y) + c S: a_i = s_i . q / s_i . y_i newest
+        # first, then c_i = a_i - y_i . r / s_i . y_i oldest first, where q
+        # and r are the two-loop vectors at that point
         a = [0.0] * _MEMORY
         for i in reversed(hist):
             a[i] = (sg[i] - sum(map(mul, a, sy[i]))) / sy[i][i]
-        gamma = sy[hist[-1]][hist[-1]] / yy[hist[-1]][hist[-1]] if hist else 1.0
+        gamma = sy[hist[-1]][hist[-1]] / ydy[hist[-1]][hist[-1]] if hist else 1.0
         c = [0.0] * _MEMORY
         for i in hist:
-            yq = (gamma * (yg[i] - sum(map(mul, a, yy[i])))
+            yr = (gamma * (ydg[i] - sum(map(mul, a, ydy[i])))
                   + sum(map(mul, c, ys[i])))
-            c[i] = a[i] - yq / sy[i][i]
-        d = np.array([-ci for ci in c] + [gamma * ai for ai in a]) @ self.V
-        d -= gamma * g
+            c[i] = a[i] - yr / sy[i][i]
+        d = (gamma * D) * (np.array(a) @ self.Y - g)
+        d -= np.array(c) @ self.S
         if has_bound:
             d[bound] = 0.0
         return d
@@ -272,8 +277,11 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     Cauchy point).
 
     The direction is the two-loop recursion on the free variables (not
-    u = 0 with df > 0), run on the Gram matrices of the stored pairs, and is
-    reset to -df when it is not a descent direction. The line search
+    u = 0 with df > 0), run on the Gram matrix of the stored pairs, with the
+    initial Hessian gamma D (Nocedal-Wright 7.2): D = 1 / diag A(u) at the
+    current iterate, A(u) the cell stiffness weighted by the lagged
+    diffusivity |grad u|^(p-2), floored at ``_EPS_D`` of its max. It is
+    reset to -D df when it is not a descent direction. The line search
     backtracks on the projected arc max(u + tau d, 0) and accepts only a
     strict Armijo decrease with positive weighted mass, so each accepted
     step (one iteration, one ``callback(loglam)``) strictly decreases
@@ -332,10 +340,13 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
 
     def gradient(x, loglam, logG, cache):
-        """(df, relative KKT residual) at the accepted trial x from its
+        """(df, relative KKT residual, D) at the accepted trial x from its
         cache. On the unit-mass rescaling uh = c u, f's gradient is
         c (dE - lam dG) / lam; dE's cell part is kg * sum(pg (ux, uy)) and
-        the mass and C parts km * coef * t^(p-1), with kg and km in logs."""
+        the mass and C parts km * coef * t^(p-1), with kg and km in logs.
+        D is the inverse diagonal of the lagged-diffusivity stiffness
+        sum(pg |grad u|^2), floored at _EPS_D of its max; only its shape
+        matters, since the L-BFGS scaling gamma absorbs the constant."""
         tp1, sm, ux, uy, pg, log_g2max = cache
         log_c = -logG / p
         log_p = math.log(p)
@@ -350,12 +361,18 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             cells[1:, :-1] += sx
             cells[:-1, 1:] += sy
             gE = cells[inside]
+            # 2 pg of the node's own cell plus pg of its -x and -y cells
+            cells[:-1, :-1] = 2.0 * pg
+            cells[1:, :-1] += pg
+            cells[:-1, 1:] += pg
+            diag = cells[inside]
+            D = 1.0 / np.maximum(diag, _EPS_D * diag.max())
             if C is not None:
                 gE += (np.exp(log_km - log_kg) * c_in) * tp1
             r = gE - (np.exp(log_km - log_kg + loglam) * m) * tp1
             kkt = np.abs(np.where((x == 0.0) & (r > 0.0), 0.0, r)).max()
             r *= np.exp(log_kg + log_c - loglam)
-            return r, float(kkt / np.abs(gE).max())
+            return r, float(kkt / np.abs(gE).max()), D
 
     def line_search(x, g, d, loglam, tau):
         """(x, evaluation, tau) at the first of tau, tau/2, ... on the
@@ -378,7 +395,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         x = seed_cone(w, p, dist, opts.seed_shrink).u[inside]
         ev = evaluate(x)
     loglam, logG, cache = ev
-    g, kkt = gradient(x, loglam, logG, cache)
+    g, kkt, D = gradient(x, loglam, logG, cache)
     memory = _Memory(x.size)
     it = 0
     tau = 0.0
@@ -395,14 +412,14 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         free = ~((x == 0.0) & (g > 0.0))
         step = None
         if memory:
-            d = memory.direction(g, free)
+            d = memory.direction(g, free, D)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
             # no memory, no descent direction or no decrease along it:
-            # restart along -df with a first step of 1% of max u
+            # restart along -D df with a first step of 1% of max u
             memory.clear()
-            d = np.where(free, -g, 0.0)
+            d = np.where(free, -D * g, 0.0)
             step = line_search(x, g, d, loglam,
                                0.01 * x.max() / np.abs(d).max())
         if step is None:
@@ -412,7 +429,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         xt, (loglam, logG, cache), tau = step
         if callback is not None:
             callback(loglam)
-        gt, kkt = gradient(xt, loglam, logG, cache)
+        gt, kkt, D = gradient(xt, loglam, logG, cache)
         s, y = xt - x, gt - g
         if s @ y > np.finfo(float).eps * (y @ y):
             memory.push(s, y)
@@ -473,22 +490,26 @@ def sweep(w: WeightField, p_list, C: ScalarField | None = None,
           return_fields: bool = False):
     """Warm-started principal-eigenvalue solves over strictly increasing p,
     with the geometric target and the discrete cone bound per entry."""
-    if any(b <= a for a, b in zip(p_list, list(p_list)[1:])):
+    p_list = [float(p) for p in p_list]
+    if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly increasing")
     if dist is None:
         dist = edt(w.mask)
-    rp, _ = r_plus(dist, w.plus)
+    rp, center = r_plus(dist, w.plus)
     target = max(1.0 / rp, 1.0) if C is not None else 1.0 / rp
     records = []
     fields = []
-    prev = None
+    # the cold start is the seed cone the solver would build itself
+    prev = (_seed_at(w, p_list[0], center, rp,
+                     (opts or SolverOpts()).seed_shrink) if p_list else None)
     for p in p_list:
-        res = solve_lambda1(w, float(p), C=C, opts=opts, dist=dist, u0=prev)
+        res = solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev)
         prev = res.field
         fields.append(res.field)
-        bound = cone_rayleigh_root(w, float(p), dist, C)
+        cone = _seed_at(w, p, center, rp)
+        bound = math.exp(_log_rayleigh(cone.u, w, p, C)[0] / p)
         records.append(SweepRecord(
-            p=float(p), lambda_root=res.lambda_root, target=target,
+            p=p, lambda_root=res.lambda_root, target=target,
             deviation=abs(res.lambda_root - target), cone_bound=bound,
             iterations=res.iterations, converged=res.converged))
     if return_fields:

@@ -234,3 +234,32 @@ def test_sweep_roots_match_polished():
         assert rec.converged
         assert rec.lambda_root <= pgd
         assert abs(rec.lambda_root - ref) <= 1e-5 * ref
+
+
+def strip_sweep(n):
+    """Boundary-strip weight (m = +1 for r > 0.8) with C = 1 on an n x n
+    grid, swept at p = 16, 64: the configuration of the strip benchmark."""
+    from infeig import Disk, rasterize, regions_weight
+    grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
+    mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+    w = regions_weight(1.0, [(Disk((0.0, 0.0), 0.8), -1.0)], grid, mask)
+    C = ScalarField(grid, np.ones(grid.shape))
+    return sweep(w, [16, 64], C=C, dist=edt(mask))
+
+
+# bench/refs.json: the strip sweep's roots polished by L-BFGS-B
+STRIP_POLISHED_ROOTS = (5.3793042, 4.5140903)
+
+
+def test_strip_sweep_roots_match_polished():
+    # a certified KKT point need not be the principal one: started cold at
+    # p = 2, a p-continuation certifies 5.5157 at p = 16 and 4.8429 at p = 64
+    for rec, ref in zip(strip_sweep(64), STRIP_POLISHED_ROOTS):
+        assert rec.converged
+        assert abs(rec.lambda_root - ref) <= 1e-5 * ref
+
+
+def test_strip_sweep_certifies_at_192():
+    # the finest grid has the widest |grad u|^(p-2) contrast at p = 16;
+    # every row must still certify within the default max_iter
+    assert all(rec.converged for rec in strip_sweep(192))

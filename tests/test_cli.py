@@ -160,6 +160,19 @@ class TestExitCodes:
         env = {**os.environ, "PYTHONPATH": src}
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_sweep_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # importing scipy.sparse.linalg adds ~8 MB to a sweep's ~60 MB peak
+        # RSS, close to the benchmark's 10 % bound on peak_rss_mb: the solver
+        # preconditions with a diagonal so that it needs no sparse matrix
+        path, _ = disk_config(tmp_path, h=1 / 16, p_list=[4, 8],
+                              zero_order={"value": 1.0})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, infeig.cli; "
+                f"assert infeig.cli.main(['sweep', '--config', {str(path)!r}]) == 0; "
+                "sys.exit('scipy.sparse' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_config_error_is_exit_1(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -332,12 +332,13 @@ class TestSolver:
         assert with_C.lam > plain.lam
 
 
-def two_loop_reference(g, pairs, free):
-    """-H g by the plain two-loop recursion over (s, y) pairs (oldest first),
-    restricted to the free variables; pairs with s . y <= 0 there are
-    skipped."""
+def two_loop_reference(g, pairs, free, D):
+    """-H g by the plain two-loop recursion over (s, y) pairs (oldest first)
+    with the initial Hessian gamma diag(D), gamma = s . y / y . D y of the
+    newest kept pair, restricted to the free variables; pairs with s . y <= 0
+    there are skipped."""
     sel = slice(None) if free.all() else free
-    q = g[sel]
+    q, D = g[sel], D[sel]
     hist = []
     for s, y in pairs:
         s, y = s[sel], y[sel]
@@ -349,9 +350,11 @@ def two_loop_reference(g, pairs, free):
         a = (s @ q) / sy
         q = q - a * y
         alphas.append(a)
+    gamma = 1.0
     if hist:
         s, y, sy = hist[-1]
-        q = q * (sy / (y @ y))
+        gamma = sy / (y @ (D * y))
+    q = gamma * D * q
     for (s, y, sy), a in zip(hist, reversed(alphas)):
         q = q + (a - (y @ q) / sy) * s
     d = np.zeros_like(g)
@@ -380,18 +383,21 @@ class TestLbfgsMemory:
         for s, y in pairs:
             mem.push(s, y)
         assert len(mem) == _MEMORY
-        for _ in range(3):
-            g = rng.standard_normal(n)
-            d = mem.direction(g, free)
-            ref = two_loop_reference(g, pairs[-_MEMORY:], free)
+
+        def check(g, pairs, D):
+            d = mem.direction(g, free, D)
+            ref = two_loop_reference(g, pairs, free, D)
             assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
             assert (d[~free] == 0.0).all()
+
+        for k in range(3):
+            # a diagonal spanning decades, different at every call, and
+            # the identity (the plain gamma I scaling)
+            D = 10.0 ** rng.uniform(-3.0, 0.0, n) if k < 2 else np.ones(n)
+            check(rng.standard_normal(n), pairs[-_MEMORY:], D)
         mem.clear()
         mem.push(*pairs[0])
-        g = rng.standard_normal(n)
-        ref = two_loop_reference(g, pairs[:1], free)
-        assert np.abs(mem.direction(g, free) - ref).max() <= (
-            1e-10 * np.abs(ref).max())
+        check(rng.standard_normal(n), pairs[:1], 10.0 ** rng.uniform(-3.0, 0.0, n))
 
 
 class TestTwoConeBound:

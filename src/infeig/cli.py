@@ -55,7 +55,7 @@ def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
     mask, w, dist = _setup(cfg)
     C = cfg.zero_order_field(mask)
     records, fields = eigen.sweep(w, cfg.p_list, C=C, opts=cfg.solver,
-                                  dist=dist, return_fields=True)
+                                  dist=dist)
     with open(f"{prefix}_sweep.csv", "w") as f:
         f.write("p,lambda_root,target,deviation,cone_bound,iterations,converged\n")
         for r in records:
@@ -93,16 +93,14 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
     return 0
 
 
-def cmd_pack(cfg: RunConfig, prefix: str, seed: int, k: int | None) -> int:
+def cmd_pack(cfg: RunConfig, prefix: str, k: int | None) -> int:
     _, w, dist = _setup(cfg)
     kk = k if k is not None else cfg.pack.k
     if kk < 1:
         raise ConfigError(f"pack: k must be >= 1, got {kk}")
-    rng = np.random.default_rng(seed)
-    result = geometry.pack(kk, dist, w.plus, rng=rng,
-                           restarts=cfg.pack.restarts)
+    result = geometry.pack(kk, dist, w.plus)
     _write_json(f"{prefix}_pack.json", asdict(result))
-    tag = "exact" if result.exact else "heuristic lower bound"
+    tag = "exact" if result.exact else "lower bound"
     print(f"pack(k={result.k}): radius={result.radius:.6g} ({tag})")
     return 0
 
@@ -117,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config")
         p.add_argument("--out", default=None, help="output path prefix")
-        p.add_argument("--seed", type=int, default=None, help="rng seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="accepted and validated, unused")
     sub.choices["check"].add_argument("--field", required=True,
                                       help="field CSV to check")
     sub.choices["check"].add_argument("--lam", type=float, required=True,
@@ -142,7 +141,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(cfg, prefix, args.field, args.lam)
         if args.command == "pack":
-            return cmd_pack(cfg, prefix, seed, args.k)
+            return cmd_pack(cfg, prefix, args.k)
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, GridMismatchError) as e:
         print(f"error: {e}", file=sys.stderr)

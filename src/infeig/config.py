@@ -94,7 +94,8 @@ def _parse_shape(d: dict, where: str, extra: set = frozenset()):
 @dataclass(frozen=True)
 class PackConfig:
     k: int = 2
-    max_candidates: int = 4000  # not a config key; read by bench/traced.py
+    # not config keys, and ignored by pack; read by bench/traced.py
+    max_candidates: int = 4000
     restarts: int = 4
 
 
@@ -198,10 +199,8 @@ def parse_config(raw: dict) -> RunConfig:
                           "solver.max_iter", 1))
 
     pk = raw.get("pack", {})
-    _require_keys(pk, {"k", "restarts"}, set(), "pack")
-    pack = PackConfig(k=_integer(pk.get("k", 2), "pack.k", 1),
-                      restarts=_integer(pk.get("restarts", 4),
-                                        "pack.restarts", 1))
+    _require_keys(pk, {"k"}, set(), "pack")
+    pack = PackConfig(k=_integer(pk.get("k", 2), "pack.k", 1))
 
     v = raw.get("viscosity", {})
     _require_keys(v, {"kink_tol", "c_tol", "eps_regime"}, set(), "viscosity")

@@ -33,13 +33,13 @@ P_MAX = 64.0
 _MEMORY = 10    # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
+_SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
 
 
 @dataclass(frozen=True)
 class SolverOpts:
     tol: float = 1e-4  # relative KKT residual that certifies convergence
     max_iter: int = 20000
-    seed_shrink: float = 0.8
 
 
 @dataclass(frozen=True)
@@ -180,18 +180,16 @@ def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
 
 
 def seed_cone(w: WeightField, p: float,
-              dist: DistanceField | None = None,
-              shrink: float = 0.8) -> ScalarField:
+              dist: DistanceField | None = None) -> ScalarField:
     """Cone at the inscribed-ball argmax of the plus set, radius shrunk until
     its weighted p-mass is positive."""
     if dist is None:
         dist = edt(w.mask)
     radius, center = r_plus(dist, w.plus)
-    return _seed_at(w, p, center, radius, shrink)
+    return _seed_at(w, p, center, radius)
 
 
-def _seed_at(w: WeightField, p: float, center, radius: float,
-             shrink: float = 0.8) -> ScalarField:
+def _seed_at(w: WeightField, p: float, center, radius: float) -> ScalarField:
     """``seed_cone`` for a known inscribed-ball centre and radius."""
     h = w.grid.h
     while radius >= 0.5 * h:
@@ -199,7 +197,7 @@ def _seed_at(w: WeightField, p: float, center, radius: float,
         uu = np.where(w.mask.inside, u.u, 0.0)
         if _log_power_sum(np.abs(uu), w.m, p, h)[0] > 0:
             return ScalarField(w.grid, uu)
-        radius *= shrink
+        radius *= _SHRINK
     raise SeedMassError("cannot seed positive mass")
 
 
@@ -212,6 +210,7 @@ class _Memory:
     def __init__(self, n: int):
         self.S = np.zeros((_MEMORY, n))
         self.Y = np.zeros((_MEMORY, n))
+        self.YD = np.empty((_MEMORY, n))  # Y * D, refilled by direction
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
 
@@ -244,7 +243,7 @@ class _Memory:
             SY = SY - self.S[:, bound] @ self.Y[:, bound].T
             g = np.where(free, g, 0.0)
             D = np.where(free, D, 0.0)
-        YD = self.Y * D
+        YD = np.multiply(self.Y, D, out=self.YD)
         sg, ydg = (self.S @ g).tolist(), (YD @ g).tolist()
         sy, ys, ydy = SY.tolist(), SY.T.tolist(), (YD @ self.Y.T).tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
@@ -392,7 +391,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         x = np.abs(u0.u[inside])
         ev = evaluate(x)
     if ev is None:
-        x = seed_cone(w, p, dist, opts.seed_shrink).u[inside]
+        x = seed_cone(w, p, dist).u[inside]
         ev = evaluate(x)
     loglam, logG, cache = ev
     g, kkt, D = gradient(x, loglam, logG, cache)
@@ -480,16 +479,25 @@ def cone_rayleigh_root(w: WeightField, p: float,
                        C: ScalarField | None = None) -> float:
     """p-th root of the Rayleigh quotient of the admissible seed cone; a
     rigorous discrete upper bound on lambda_root."""
-    u = seed_cone(w, p, dist)
+    if dist is None:
+        dist = edt(w.mask)
+    radius, center = r_plus(dist, w.plus)
+    return _cone_root(w, p, center, radius, C)
+
+
+def _cone_root(w: WeightField, p: float, center, radius: float,
+               C: ScalarField | None) -> float:
+    """``cone_rayleigh_root`` for a known inscribed-ball centre and radius."""
+    u = _seed_at(w, p, center, radius)
     return math.exp(_log_rayleigh(u.u, w, p, C)[0] / p)
 
 
 def sweep(w: WeightField, p_list, C: ScalarField | None = None,
           opts: SolverOpts | None = None,
-          dist: DistanceField | None = None,
-          return_fields: bool = False):
+          dist: DistanceField | None = None):
     """Warm-started principal-eigenvalue solves over strictly increasing p,
-    with the geometric target and the discrete cone bound per entry."""
+    with the geometric target and the discrete cone bound per entry.
+    Returns (records, fields), one solved field per record."""
     p_list = [float(p) for p in p_list]
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly increasing")
@@ -500,18 +508,14 @@ def sweep(w: WeightField, p_list, C: ScalarField | None = None,
     records = []
     fields = []
     # the cold start is the seed cone the solver would build itself
-    prev = (_seed_at(w, p_list[0], center, rp,
-                     (opts or SolverOpts()).seed_shrink) if p_list else None)
+    prev = _seed_at(w, p_list[0], center, rp) if p_list else None
     for p in p_list:
         res = solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev)
         prev = res.field
         fields.append(res.field)
-        cone = _seed_at(w, p, center, rp)
-        bound = math.exp(_log_rayleigh(cone.u, w, p, C)[0] / p)
         records.append(SweepRecord(
             p=p, lambda_root=res.lambda_root, target=target,
-            deviation=abs(res.lambda_root - target), cone_bound=bound,
+            deviation=abs(res.lambda_root - target),
+            cone_bound=_cone_root(w, p, center, rp, C),
             iterations=res.iterations, converged=res.converged))
-    if return_fields:
-        return records, fields
-    return records
+    return records, fields

@@ -67,21 +67,45 @@ def _farthest_pair(sel: np.ndarray, h: float):
     return float(half[a, b]), tuple(map(tuple, ends[[a, b]].tolist()))
 
 
-def _pack2(d: np.ndarray, plus_mask: np.ndarray, h: float):
-    """Exact max over node pairs of min(d_i, d_j, |x_i - x_j| / 2).
+def _witness(sel: np.ndarray, k: int, h: float):
+    """k nodes of the mask `sel` and half their smallest pairwise distance:
+    the farthest pair, then k - 2 times the node of `sel` farthest from the
+    nodes already chosen (farthest-point greedy). For k = 2 this is exactly
+    `_farthest_pair`.
+    """
+    half, centers = _farthest_pair(sel, h)
+    if k > 2:
+        pts = np.argwhere(sel)
+        near = np.min([np.hypot(pts[:, 0] - i, pts[:, 1] - j)
+                       for i, j in centers], axis=0)
+        for _ in range(k - 2):
+            a = int(np.argmax(near))
+            half = min(half, 0.5 * h * float(near[a]))
+            centers += (tuple(pts[a].tolist()),)
+            near = np.minimum(near, np.hypot(pts[:, 0] - pts[a, 0],
+                                             pts[:, 1] - pts[a, 1]))
+    return half, centers
 
-    With S_r the plus nodes where d >= r and D(r) half the diameter of S_r,
-    the pair optimum is the max over the levels r of d of min(r, D(r)).
-    Along the sorted levels r grows and D(r) shrinks, so a bisection finds
-    the last level with r <= D(r); the optimum is that r or D(r) at the
-    next level up. Returns (radius, centers).
+
+def _bisect_pack(d: np.ndarray, plus_mask: np.ndarray, h: float, k: int):
+    """Bisection over the distance levels of d for k disjoint balls.
+
+    With S_r the plus nodes where d >= r and D(r) the value of the witness
+    on S_r (`_witness`), every level r gives the packing value
+    min(r, D(r)), witnessed by valid centres. For k = 2, D(r) is half the
+    diameter of S_r, so along the sorted levels r grows and D(r) shrinks:
+    the bisection finds the last level with r <= D(r), and the exact pair
+    optimum max over node pairs of min(d_i, d_j, |x_i - x_j| / 2) is that r
+    or D(r) at the next level up. For k >= 3 the greedy D(r) need not
+    shrink, so the crossing found is a lower bound. Returns (radius,
+    centers).
     """
     levels = np.unique(d[plus_mask])
     lo, hi = 0, len(levels)
     below = above = None  # (value, centers) at levels lo - 1 and hi
     while lo < hi:
         mid = (lo + hi) // 2
-        half, centers = _farthest_pair(plus_mask & (d >= levels[mid]), h)
+        half, centers = _witness(plus_mask & (d >= levels[mid]), k, h)
         if levels[mid] <= half:
             lo, below = mid + 1, (float(levels[mid]), centers)
         else:
@@ -91,100 +115,30 @@ def _pack2(d: np.ndarray, plus_mask: np.ndarray, h: float):
 
 
 def pack(k: int, dist: DistanceField, plus_mask: np.ndarray,
-         rng: np.random.Generator | None = None,
-         restarts: int = 4, max_candidates=None) -> PackingResult:
+         rng=None, restarts=None, max_candidates=None) -> PackingResult:
     """Largest common radius of k disjoint balls inside the domain with
     centers on the plus mask.
 
-    k = 1 reduces to the inscribed-ball maximum and k = 2 to an exact pair
-    search by bisection over the distance levels (see `_pack2`); both are
-    reported with exact=True at every grid size. k >= 3 uses farthest-point
-    seeding plus coordinate descent over `restarts` seeds drawn from `rng`
-    and is a LOWER bound on the true radius, reported with exact=False.
-    `max_candidates` is ignored; bench/traced.py still passes it.
+    k = 1 reduces to the inscribed-ball maximum. Every k >= 2 runs one
+    deterministic bisection over the distance levels (see `_bisect_pack`):
+    exact for k = 2 at every grid size (exact=True), and for k >= 3 a
+    certified LOWER bound whose centres are valid (exact=False).
     """
+    # rng, restarts and max_candidates are ignored; bench/traced.py still
+    # passes them
     if k < 1:
         raise ValueError("k must be >= 1")
-    if int(restarts) != restarts or restarts < 1:
-        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     if not plus_mask.any():
         raise NoPositiveRegionError("no positive region")
-    pts = np.argwhere(plus_mask)
-    if len(pts) < k:
+    n = int(np.count_nonzero(plus_mask))
+    if n < k:
         raise InfeasiblePackingError(
-            f"infeasible packing: {len(pts)} candidate nodes for k={k}")
-    d = dist.d
-    h = dist.grid.h
-
+            f"infeasible packing: {n} candidate nodes for k={k}")
     if k == 1:
         val, ij = r_plus(dist, plus_mask)
         return PackingResult(1, val, (ij,), exact=True)
-
-    if k == 2:
-        radius, centers = _pack2(d, plus_mask, h)
-        return PackingResult(2, radius, centers, exact=True)
-
-    # k >= 3: greedy farthest-point seeding + coordinate descent, with a few
-    # randomized restarts.
-    if rng is None:
-        rng = np.random.default_rng(0)
-    dv = d[pts[:, 0], pts[:, 1]]
-    xy = pts * h
-
-    def packing_value(sel):
-        vals = dv[sel].min()
-        pxy = xy[sel]
-        dd = np.hypot(pxy[:, None, 0] - pxy[None, :, 0],
-                      pxy[:, None, 1] - pxy[None, :, 1])
-        np.fill_diagonal(dd, np.inf)
-        return min(vals, 0.5 * dd.min())
-
-    def descend(sel):
-        val = packing_value(sel)
-        improved = True
-        while improved:
-            improved = False
-            for slot in range(k):
-                others = [s for t, s in enumerate(sel) if t != slot]
-                oxy = xy[others]
-                sep = 0.5 * np.min(np.hypot(xy[:, None, 0] - oxy[None, :, 0],
-                                            xy[:, None, 1] - oxy[None, :, 1]),
-                                   axis=1)
-                odd = np.hypot(oxy[:, None, 0] - oxy[None, :, 0],
-                               oxy[:, None, 1] - oxy[None, :, 1])
-                np.fill_diagonal(odd, np.inf)
-                # cap by the unmoved centers' own distances and separations so
-                # obj equals the packing value of the candidate selection
-                cap = min(dv[others].min(), 0.5 * odd.min())
-                obj = np.minimum(np.minimum(dv, cap), sep)
-                cand_idx = int(np.argmax(obj))
-                if obj[cand_idx] > val + 1e-15 and cand_idx not in others:
-                    sel[slot] = cand_idx
-                    val = obj[cand_idx]
-                    improved = True
-        return val, sel
-
-    best_val = -np.inf
-    best_sel = None
-    for trial in range(restarts):
-        if trial == 0:
-            seed = int(np.argmax(dv))
-        else:
-            seed = int(rng.integers(len(pts)))
-        sel = [seed]
-        while len(sel) < k:
-            oxy = xy[sel]
-            sep = 0.5 * np.min(np.hypot(xy[:, None, 0] - oxy[None, :, 0],
-                                        xy[:, None, 1] - oxy[None, :, 1]),
-                               axis=1)
-            obj = np.minimum(dv, sep)
-            obj[sel] = -np.inf
-            sel.append(int(np.argmax(obj)))
-        val, sel = descend(sel)
-        if val > best_val:
-            best_val, best_sel = val, list(sel)
-    centers = tuple((int(pts[s, 0]), int(pts[s, 1])) for s in best_sel)
-    return PackingResult(k, float(best_val), centers, exact=False)
+    radius, centers = _bisect_pack(dist.d, plus_mask, dist.grid.h, k)
+    return PackingResult(k, radius, centers, exact=k == 2)
 
 
 def cone_field(center: tuple[int, int], radius: float, grid: Grid,

@@ -152,8 +152,6 @@ def rasterize(primitives, grid: Grid) -> DomainMask:
             raise ValueError(f"unknown shape op {prim.op!r}")
     inside[0, :] = inside[-1, :] = False
     inside[:, 0] = inside[:, -1] = False
-    if not inside.any():
-        raise DegenerateDomainError("degenerate domain: empty interior")
     return DomainMask(grid, inside)
 
 

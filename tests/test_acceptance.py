@@ -41,7 +41,7 @@ def example1_sweep():
         w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.25), 1.0)], grid, mask)
         dist = edt(mask)
         t0 = time.perf_counter()
-        recs = sweep(w, [4, 8, 16, 32], dist=dist)
+        recs, _ = sweep(w, [4, 8, 16, 32], dist=dist)
         _sweep_cache.update(recs=recs, elapsed=time.perf_counter() - t0,
                             w=w, dist=dist, grid=grid, mask=mask)
     return _sweep_cache
@@ -238,13 +238,14 @@ def test_sweep_roots_match_polished():
 
 def strip_sweep(n):
     """Boundary-strip weight (m = +1 for r > 0.8) with C = 1 on an n x n
-    grid, swept at p = 16, 64: the configuration of the strip benchmark."""
+    grid, swept at p = 16, 64: the configuration of the strip benchmark.
+    Returns the sweep records."""
     from infeig import Disk, rasterize, regions_weight
     grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
     mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
     w = regions_weight(1.0, [(Disk((0.0, 0.0), 0.8), -1.0)], grid, mask)
     C = ScalarField(grid, np.ones(grid.shape))
-    return sweep(w, [16, 64], C=C, dist=edt(mask))
+    return sweep(w, [16, 64], C=C, dist=edt(mask))[0]
 
 
 # bench/refs.json: the strip sweep's roots polished by L-BFGS-B

@@ -262,6 +262,16 @@ class TestCommands:
         assert rec["k"] == 2 and rec["exact"]
         assert rec["radius"] == pytest.approx(0.5, abs=2 / 24)
 
+    def test_pack_ignores_seed(self, tmp_path):
+        path, _ = disk_config(tmp_path)
+        outs = []
+        for seed in ("0", "7"):
+            out = tmp_path / f"seed{seed}"
+            assert cli.main(["pack", "--config", str(path), "--k", "3",
+                             "--out", str(out), "--seed", seed]) == 0
+            outs.append((tmp_path / f"seed{seed}_pack.json").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_field_round_trip_bit_identical(self, tmp_path):
         path, raw = disk_config(tmp_path)
         assert cli.main(["sweep", "--config", str(path)]) == 0

@@ -452,8 +452,10 @@ class TestSweep:
     def test_records_and_warm_start(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = uniform_weight(grid, mask)
-        recs = sweep(w, [2, 4, 8], opts=SolverOpts(tol=1e-5), dist=dist)
+        recs, fields = sweep(w, [2, 4, 8], opts=SolverOpts(tol=1e-5),
+                             dist=dist)
         assert [r.p for r in recs] == [2.0, 4.0, 8.0]
+        assert len(fields) == 3
         for r in recs:
             assert r.converged
             assert r.target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)
@@ -466,6 +468,6 @@ class TestSweep:
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)
         w = uniform_weight(grid, mask)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
-        recs = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-5), dist=dist)
+        recs, _ = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-5), dist=dist)
         # R+ < 1 here, so the zero-order target is 1/R+ as well
         assert recs[0].target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)

@@ -25,6 +25,19 @@ def brute_force_pack2(dist, plus_mask):
     return best
 
 
+def brute_force_pack3(dist, plus_mask):
+    """Exhaustive max over node triples of the packing value, from the pair
+    values V[i, j] = min(d_i, d_j, |x_i - x_j| / 2)."""
+    pts = np.argwhere(plus_mask)
+    dv = dist.d[pts[:, 0], pts[:, 1]]
+    sep = 0.5 * dist.grid.h * np.hypot(pts[:, None, 0] - pts[None, :, 0],
+                                       pts[:, None, 1] - pts[None, :, 1])
+    V = np.minimum(np.minimum(dv[:, None], dv[None, :]), sep)
+    np.fill_diagonal(V, -np.inf)
+    return max(np.minimum(np.minimum(V[i][:, None], V[i][None, :]), V).max()
+               for i in range(len(pts)))
+
+
 def disk_h23():
     grid, mask, dist = disk_setup(1 / 23)
     return dist, uniform_weight(grid, mask).plus
@@ -49,6 +62,18 @@ def random_plus(seed):
 
 PACK2_CASES = {"disk_h23": disk_h23, "sweep_grid_disk_96": sweep_grid_disk,
                **{f"random_{s}": partial(random_plus, s) for s in range(6)}}
+
+
+def disk_plus(h, make_weight):
+    grid, mask, dist = disk_setup(h)
+    return dist, make_weight(grid, mask).plus
+
+
+# small enough for the exhaustive triple search
+PACK3_CASES = {"disk_h10": partial(disk_plus, 1 / 10, uniform_weight),
+               "two_balls_h14": partial(disk_plus, 1 / 14, partial(
+                   example3_weight, delta=0.3)),
+               **{f"random_{s}": partial(random_plus, s) for s in range(3)}}
 
 
 class TestRPlus:
@@ -120,11 +145,18 @@ class TestPack:
         assert res.exact
         assert res.radius == brute_force_pack2(dist, plus)
 
+    @pytest.mark.parametrize("case", sorted(PACK3_CASES))
+    def test_pack3_lower_bound_of_brute_force(self, case):
+        dist, plus = PACK3_CASES[case]()
+        res = pack(3, dist, plus)
+        assert not res.exact
+        assert 0 < res.radius <= brute_force_pack3(dist, plus)
+
     def test_pack_validity(self):
         grid, mask, dist = disk_setup(1 / 64)
         w = example1_weight(grid, mask, delta=0.25)
-        for k in (2, 3, 4):
-            res = pack(k, dist, w.plus, rng=np.random.default_rng(1))
+        for k in (2, 3, 4, 7):
+            res = pack(k, dist, w.plus)
             assert res.exact == (k <= 2)
             cents = np.array(res.centers)
             assert all(w.plus[c[0], c[1]] for c in res.centers)
@@ -138,8 +170,7 @@ class TestPack:
     def test_pack_monotone_in_k(self):
         grid, mask, dist = disk_setup(1 / 48)
         w = uniform_weight(grid, mask)
-        radii = [pack(k, dist, w.plus, rng=np.random.default_rng(0)).radius
-                 for k in (1, 2, 3, 4)]
+        radii = [pack(k, dist, w.plus).radius for k in (1, 2, 3, 4)]
         assert all(radii[i] >= radii[i + 1] - 1e-12 for i in range(3))
 
     def test_monotone_in_mask(self):
@@ -150,12 +181,12 @@ class TestPack:
         assert (pack(2, dist, sub.plus).radius
                 <= pack(2, dist, w.plus).radius + 1e-12)
 
-    @pytest.mark.parametrize("restarts", [0, 2.5, "abc"])
-    def test_restarts_must_be_positive_integer(self, restarts):
-        grid, mask, dist = disk_setup(1 / 16)
+    def test_pack4_unit_disk(self):
+        # four balls in the unit disk: the optimum radius is 1 / (1 + sqrt 2)
+        grid, mask, dist = disk_setup(1 / 64)
         w = uniform_weight(grid, mask)
-        with pytest.raises(ValueError):
-            pack(3, dist, w.plus, restarts=restarts)
+        res = pack(4, dist, w.plus)
+        assert abs(res.radius - 1 / (1 + np.sqrt(2))) <= 2 / 64
 
     def test_infeasible(self):
         grid, mask, dist = disk_setup(1 / 16)

@@ -3,14 +3,15 @@
 Batch only; every run is a config file plus flags. Scalar results go to
 flat JSON records, sweeps and fields to CSV.
 
-Exit codes: 0 success, 1 usage/config error, 2 numeric failure,
-3 infeasible geometry.
+Exit codes: 0 success, 1 usage/config error or a file that cannot be read
+or written, 2 numeric failure, 3 infeasible geometry.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -75,6 +76,8 @@ def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
 
 
 def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ConfigError(f"--lam must be a finite positive number, got {lam}")
     mask, w, _ = _setup(cfg)
     grid, values, _ = fieldio.load_array(field_path)
     if grid != cfg.grid:
@@ -131,9 +134,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         prefix = args.out if args.out is not None else cfg.output_prefix
-        seed = args.seed if args.seed is not None else cfg.seed
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "limits":
             return cmd_limits(cfg, prefix)
         if args.command == "sweep":
@@ -143,7 +145,7 @@ def main(argv=None) -> int:
         if args.command == "pack":
             return cmd_pack(cfg, prefix, args.k)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, GridMismatchError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except GeometryError as e:

@@ -110,7 +110,6 @@ class RunConfig:
     pack: PackConfig = PackConfig()
     viscosity: CheckOpts = CheckOpts()
     output_prefix: str = "run"
-    seed: int = 0
 
     def build_mask(self) -> DomainMask:
         return rasterize(self.domain, self.grid)
@@ -138,8 +137,7 @@ def load_config(path) -> RunConfig:
 
 def parse_config(raw: dict) -> RunConfig:
     _require_keys(raw, {"grid", "domain", "weight", "zero_order", "p_list",
-                        "solver", "pack", "viscosity", "output_prefix",
-                        "seed"},
+                        "solver", "pack", "viscosity", "output_prefix"},
                   {"grid", "domain", "weight"}, "config")
 
     g = raw["grid"]
@@ -211,5 +209,4 @@ def parse_config(raw: dict) -> RunConfig:
     return RunConfig(grid=grid, domain=domain, make_weight=make_weight,
                      zero_order=zo, p_list=p_list, solver=solver, pack=pack,
                      viscosity=visc,
-                     output_prefix=str(raw.get("output_prefix", "run")),
-                     seed=_integer(raw.get("seed", 0), "seed", 0))
+                     output_prefix=str(raw.get("output_prefix", "run")))

@@ -159,24 +159,24 @@ def weighted_mass_grad(u: ScalarField, w: WeightField, p: float) -> np.ndarray:
 
 def rayleigh(u: ScalarField, w: WeightField, p: float,
              C: ScalarField | None = None) -> float:
-    """E(u) / G(u), through log space when the weighted mass is positive
-    (so the quotient's zero homogeneity survives over- and underflow of
-    both sums), else the plain quotient."""
-    ev = _log_rayleigh(u.u, w, p, C)
-    if ev is not None:
-        return math.exp(ev[0]) if ev[0] < 700 else math.inf
-    return dirichlet_energy_p(u, p, C)[0] / weighted_mass_p(u, w, p)
+    """E(u) / G(u) through log space, so the quotient's zero homogeneity
+    survives over- and underflow of both sums; inf when the weighted mass is
+    not positive."""
+    _check_p(p)
+    loglam = _log_rayleigh(u.u, w, p, C)
+    if loglam is None or loglam >= 700:
+        return math.inf
+    return math.exp(loglam)
 
 
 def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
                   C: ScalarField | None):
-    """(log of the Rayleigh quotient, log of the weighted mass), or None when
-    the mass is nonpositive."""
+    """Log of the Rayleigh quotient, or None when the weighted mass is
+    nonpositive."""
     _, logG = _log_power_sum(np.abs(u), w.m, p, w.grid.h)
     if logG is None:
         return None
-    _, logE = dirichlet_energy_p(ScalarField(w.grid, u), p, C)
-    return logE - logG, logG
+    return dirichlet_energy_p(ScalarField(w.grid, u), p, C)[1] - logG
 
 
 def seed_cone(w: WeightField, p: float,
@@ -186,11 +186,6 @@ def seed_cone(w: WeightField, p: float,
     if dist is None:
         dist = edt(w.mask)
     radius, center = r_plus(dist, w.plus)
-    return _seed_at(w, p, center, radius)
-
-
-def _seed_at(w: WeightField, p: float, center, radius: float) -> ScalarField:
-    """``seed_cone`` for a known inscribed-ball centre and radius."""
     h = w.grid.h
     while radius >= 0.5 * h:
         u = cone_field(center, radius, w.grid)
@@ -471,7 +466,7 @@ def two_cone_upper_bound(p: float, c1, c2, radius: float, w: WeightField,
                           w, p, None) for c in (c1, c2)]
     if None in logs:
         return math.inf
-    return math.exp(max(log[0] for log in logs) / p)
+    return math.exp(max(logs) / p)
 
 
 def cone_rayleigh_root(w: WeightField, p: float,
@@ -479,36 +474,24 @@ def cone_rayleigh_root(w: WeightField, p: float,
                        C: ScalarField | None = None) -> float:
     """p-th root of the Rayleigh quotient of the admissible seed cone; a
     rigorous discrete upper bound on lambda_root."""
-    if dist is None:
-        dist = edt(w.mask)
-    radius, center = r_plus(dist, w.plus)
-    return _cone_root(w, p, center, radius, C)
-
-
-def _cone_root(w: WeightField, p: float, center, radius: float,
-               C: ScalarField | None) -> float:
-    """``cone_rayleigh_root`` for a known inscribed-ball centre and radius."""
-    u = _seed_at(w, p, center, radius)
-    return math.exp(_log_rayleigh(u.u, w, p, C)[0] / p)
+    return math.exp(_log_rayleigh(seed_cone(w, p, dist).u, w, p, C) / p)
 
 
 def sweep(w: WeightField, p_list, C: ScalarField | None = None,
           opts: SolverOpts | None = None,
           dist: DistanceField | None = None):
     """Warm-started principal-eigenvalue solves over strictly increasing p,
-    with the geometric target and the discrete cone bound per entry.
-    Returns (records, fields), one solved field per record."""
+    the first from the seed cone, with the geometric target and the discrete
+    cone bound per entry. Returns (records, fields), one solved field per
+    record."""
     p_list = [float(p) for p in p_list]
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly increasing")
     if dist is None:
         dist = edt(w.mask)
-    rp, center = r_plus(dist, w.plus)
+    rp, _ = r_plus(dist, w.plus)
     target = max(1.0 / rp, 1.0) if C is not None else 1.0 / rp
-    records = []
-    fields = []
-    # the cold start is the seed cone the solver would build itself
-    prev = _seed_at(w, p_list[0], center, rp) if p_list else None
+    records, fields, prev = [], [], None
     for p in p_list:
         res = solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev)
         prev = res.field
@@ -516,6 +499,6 @@ def sweep(w: WeightField, p_list, C: ScalarField | None = None,
         records.append(SweepRecord(
             p=p, lambda_root=res.lambda_root, target=target,
             deviation=abs(res.lambda_root - target),
-            cone_bound=_cone_root(w, p, center, rp, C),
+            cone_bound=cone_rayleigh_root(w, p, dist, C),
             iterations=res.iterations, converged=res.converged))
     return records, fields

@@ -95,6 +95,15 @@ def check_argv(edit):
     return build
 
 
+def check_flags(*flags):
+    """`check` argv on a valid zero field file with `flags` appended (the last
+    of a repeated flag wins); "{tmp}" in a flag is the test's tmp_path."""
+    def build(tmp_path):
+        argv = check_argv(lambda hd, body: (hd, body))(tmp_path)
+        return argv + [f.format(tmp=tmp_path) for f in flags]
+    return build
+
+
 def config_argv(command, *flags, **overrides):
     def build(tmp_path):
         path, _ = disk_config(tmp_path, **overrides)
@@ -108,6 +117,12 @@ MALFORMED = {
     "field_header_bad_nx": check_argv(lambda hd, body: ({**hd, "nx": 1}, body)),
     "field_non_numeric_cell": check_argv(
         lambda hd, body: (hd, ["abc" + body[0][1:]] + body[1:])),
+    "field_missing": check_flags("--field", "{tmp}/missing.csv"),
+    "out_dir_missing": check_flags("--out", "{tmp}/missing/out"),
+    "lam_negative": check_flags("--lam", "-1"),
+    "lam_zero": check_flags("--lam", "0"),
+    "lam_nan": check_flags("--lam", "nan"),
+    "lam_inf": check_flags("--lam", "inf"),
     "p_list_decreasing": config_argv("sweep", p_list=[8, 4]),
     "p_list_repeated": config_argv("sweep", p_list=[4, 4]),
     "pack_k_zero": config_argv("pack", pack={"k": 0}),

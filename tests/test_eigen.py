@@ -9,9 +9,11 @@ from conftest import disk_setup, example1_weight, uniform_weight
 from infeig import (ScalarField, SolverOpts, cone_field, dirichlet_energy_p,
                     mu1, negate, solve_lambda1, sweep, two_cone_upper_bound,
                     weighted_mass_p)
-from infeig.eigen import (_MEMORY, _Memory, dirichlet_energy_grad, rayleigh,
-                          seed_cone, weighted_mass_grad)
+from infeig.eigen import (_MEMORY, SweepRecord, _Memory, cone_rayleigh_root,
+                          dirichlet_energy_grad, rayleigh, seed_cone,
+                          weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
+from infeig.geometry import r_plus
 
 
 def eigsh_lambda2_oracle(w):
@@ -197,6 +199,17 @@ class TestRayleigh:
             for t in ts:
                 ut = ScalarField(grid, t * u.u)
                 assert rayleigh(ut, w, p) == pytest.approx(base, rel=1e-12)
+
+    def test_nonpositive_mass_is_inf(self):
+        grid, mask, dist = disk_setup(1 / 32)
+        zero = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
+        assert rayleigh(zero, uniform_weight(grid, mask), 4.0) == math.inf
+        # m = -1 outside r < 0.25, so this cone on [0.3, 0.9] x [-0.3, 0.3]
+        # has negative mass
+        w = example1_weight(grid, mask)
+        cone = cone_field((grid.nx // 2 + 19, grid.ny // 2), 0.3, grid, dist)
+        assert weighted_mass_p(cone, w, 4.0) < 0
+        assert rayleigh(cone, w, 4.0) == math.inf
 
 
 class TestSolver:
@@ -463,6 +476,26 @@ class TestSweep:
             assert r.cone_bound >= r.lambda_root - 1e-9
         # lambda_root drifts toward the geometric target as p grows
         assert recs[-1].deviation < recs[0].deviation
+
+    def test_matches_public_call_chain(self):
+        # the chain bench/traced.py replays: warm-started solves from a cold
+        # first one, and the public cone bound per p
+        grid, mask, dist = disk_setup(1 / 16)
+        w = example1_weight(grid, mask, delta=0.5)
+        Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
+        opts = SolverOpts(tol=1e-5)
+        recs, fields = sweep(w, [4, 8, 16], C=Cf, opts=opts, dist=dist)
+        target = max(1.0 / r_plus(dist, w.plus)[0], 1.0)
+        prev = None
+        for p, rec, field in zip((4.0, 8.0, 16.0), recs, fields, strict=True):
+            res = solve_lambda1(w, p, C=Cf, opts=opts, dist=dist, u0=prev)
+            prev = res.field
+            assert rec == SweepRecord(
+                p=p, lambda_root=res.lambda_root, target=target,
+                deviation=abs(res.lambda_root - target),
+                cone_bound=cone_rayleigh_root(w, p, dist, Cf),
+                iterations=res.iterations, converged=res.converged)
+            assert (field.u == res.field.u).all()
 
     def test_zero_order_target(self):
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)

@@ -32,6 +32,7 @@ from .weight import WeightField, negate
 P_MAX = 64.0
 _MEMORY = 10    # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
+_CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV * y.y
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
 
@@ -425,7 +426,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             callback(loglam)
         gt, kkt, D = gradient(xt, loglam, logG, cache)
         s, y = xt - x, gt - g
-        if s @ y > np.finfo(float).eps * (y @ y):
+        if s @ y > _CURV * (y @ y):
             memory.push(s, y)
         x, g = xt, gt
 

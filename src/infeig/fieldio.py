@@ -52,4 +52,6 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
             values = np.array(rows, dtype=float)
     except ValueError as e:
         raise ConfigError(f"{path}: bad field value: {e}") from e
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{path}: non-finite field value")
     return grid, values, kind

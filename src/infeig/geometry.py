@@ -52,15 +52,47 @@ def r_plus(dist: DistanceField, plus_mask: np.ndarray) -> tuple[float, tuple[int
     return float(dist.d[ij]), (int(ij[0]), int(ij[1]))
 
 
+def _chain(pts: list) -> list:
+    """Indices of the strict convex chain of `pts`, (i, j) points in row
+    order: Andrew's monotone chain, popping the last point kept while it
+    does not make a strict left turn, so collinear points drop out."""
+    keep = []
+    for n, (i, j) in enumerate(pts):
+        while len(keep) >= 2:
+            (i0, j0), (i1, j1) = pts[keep[-2]], pts[keep[-1]]
+            if (i1 - i0) * (j - j0) - (j1 - j0) * (i - i0) > 0:
+                break
+            keep.pop()
+        keep.append(n)
+    return keep
+
+
 def _farthest_pair(sel: np.ndarray, h: float):
     """Half the diameter of the nodes in the mask `sel` and a pair of nodes
-    at that distance. Every convex-hull vertex of a node set is the first or
-    last node of its row, so only those (at most 2*nx) are compared.
+    at that distance.
+
+    A node that is not a strict convex-hull vertex is a convex combination
+    of other nodes, so any node lies strictly closer to it than to one of
+    those: a diameter pair is a pair of strict hull vertices. Every hull
+    vertex is the first or last node of its row, so Andrew's monotone chain
+    (`_chain`) runs once over the first ends in row order and once over the
+    last ends in reverse row order, and only the vertices kept are
+    compared: ~140 of 1022 row ends on the h = 1/256 unit disk.
+
+    Ties go to the first maximum over ordered pairs of the row ends listed
+    as [firsts by row, lasts by row]. A node alone in its row is listed
+    twice and counts at its first place; the kept places are compared in
+    that order.
     """
     rows = np.flatnonzero(sel.any(axis=1))
     first = np.argmax(sel[rows], axis=1)
     last = sel.shape[1] - 1 - np.argmax(sel[rows, ::-1], axis=1)
     ends = np.column_stack([np.tile(rows, 2), np.concatenate([first, last])])
+    r = rows.tolist()
+    lower = _chain(list(zip(r, first.tolist())))
+    upper = len(r) - 1 - np.array(_chain(list(zip(r, last.tolist()))[::-1]))
+    upper = np.where(first[upper] == last[upper], upper, len(r) + upper)
+    ends = ends[np.unique(np.concatenate([lower, upper]))]
     half = 0.5 * h * np.hypot(ends[:, None, 0] - ends[None, :, 0],
                               ends[:, None, 1] - ends[None, :, 1])
     a, b = np.unravel_index(int(np.argmax(half)), half.shape)

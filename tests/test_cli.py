@@ -117,6 +117,10 @@ MALFORMED = {
     "field_header_bad_nx": check_argv(lambda hd, body: ({**hd, "nx": 1}, body)),
     "field_non_numeric_cell": check_argv(
         lambda hd, body: (hd, ["abc" + body[0][1:]] + body[1:])),
+    "field_nan": check_argv(
+        lambda hd, body: (hd, ["nan" + body[0][1:]] + body[1:])),
+    "field_inf": check_argv(
+        lambda hd, body: (hd, ["inf" + body[0][1:]] + body[1:])),
     "field_missing": check_flags("--field", "{tmp}/missing.csv"),
     "out_dir_missing": check_flags("--out", "{tmp}/missing/out"),
     "lam_negative": check_flags("--lam", "-1"),

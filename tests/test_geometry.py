@@ -10,6 +10,7 @@ from infeig import (Disk, DomainMask, Grid, cone_field, compute_limits, edt,
 from infeig.errors import (GeometryError, InfeasiblePackingError,
                            NoPositiveRegionError)
 from infeig.eigen import dirichlet_energy_p
+from infeig.geometry import _chain, _farthest_pair
 
 
 def brute_force_pack2(dist, plus_mask):
@@ -36,6 +37,35 @@ def brute_force_pack3(dist, plus_mask):
     np.fill_diagonal(V, -np.inf)
     return max(np.minimum(np.minimum(V[i][:, None], V[i][None, :]), V).max()
                for i in range(len(pts)))
+
+
+def all_ends_farthest_pair(sel, h):
+    """Half the diameter over every first and last node of a row, compared
+    all against all; ties to the first maximum over [firsts, lasts]."""
+    rows = np.flatnonzero(sel.any(axis=1))
+    first = np.argmax(sel[rows], axis=1)
+    last = sel.shape[1] - 1 - np.argmax(sel[rows, ::-1], axis=1)
+    ends = np.column_stack([np.tile(rows, 2), np.concatenate([first, last])])
+    half = 0.5 * h * np.hypot(ends[:, None, 0] - ends[None, :, 0],
+                              ends[:, None, 1] - ends[None, :, 1])
+    a, b = np.unravel_index(int(np.argmax(half)), half.shape)
+    return float(half[a, b]), tuple(map(tuple, ends[[a, b]].tolist()))
+
+
+def farthest_pair_masks():
+    rng = np.random.default_rng(7)
+    masks = [rng.random(rng.integers(1, 24, 2)) < rng.uniform(0.02, 1.0)
+             for _ in range(400)]
+    for n in (1, 2, 3, 9):
+        one_per_row = np.zeros((n, 12), bool)
+        one_per_row[np.arange(n), rng.integers(0, 12, n)] = True
+        masks += [one_per_row, np.ones((1, n), bool), np.ones((n, 1), bool),
+                  np.eye(n, dtype=bool), np.eye(n, dtype=bool)[::-1],
+                  np.ones((n, n), bool)]
+    i, j = np.mgrid[:33, :33]
+    rho = np.hypot(i - 16, j - 16)
+    masks += [(rho <= 16) & (rho >= 9), np.abs(i - 16) + np.abs(j - 16) <= 12]
+    return [m for m in masks if m.any()]
 
 
 def disk_h23():
@@ -137,6 +167,33 @@ class TestPack:
         w = example3_weight(grid, mask, delta=0.1)
         res = pack(2, dist, w.plus)
         assert abs(res.radius - 0.5) <= 2 / 128
+
+    def test_farthest_pair_matches_all_ends_oracle(self):
+        for sel in farthest_pair_masks():
+            for h in (1.0, 1 / 256):
+                assert _farthest_pair(sel, h) == all_ends_farthest_pair(sel, h)
+
+    def test_chain_keeps_strict_vertices_only(self):
+        assert _chain([(i, 0) for i in range(5)]) == [0, 4]
+        assert _chain([(0, 2), (1, 0), (2, 2)]) == [0, 1, 2]
+        assert _chain([(0, 0), (1, 2), (2, 0)]) == [0, 2]
+        assert _chain([(0, 3), (1, 1), (2, 0), (3, 0), (4, 1)]) == [0, 1, 2, 3, 4]
+        assert _chain([(0, 4), (1, 2), (2, 0), (3, 1), (4, 2)]) == [0, 2, 4]
+
+    @pytest.mark.parametrize("make_weight, k, radius, centers", [
+        (uniform_weight, 2, 0.5002440810494413, ((35, 58), (97, 74))),
+        (uniform_weight, 3, 0.4151665704870757,
+         ((32, 50), (100, 82), (50, 100))),
+        (example3_weight, 2, 0.5, ((34, 62), (98, 70))),
+        (example3_weight, 3, 0.09882117688026186,
+         ((28, 64), (104, 68), (40, 68))),
+    ])
+    def test_pack_golden_disk_h64(self, make_weight, k, radius, centers):
+        # radius and centres of the all-row-ends diameter search, recorded;
+        # example3_weight is the benchmark's two_balls weight
+        grid, mask, dist = disk_setup(1 / 64)
+        res = pack(k, dist, make_weight(grid, mask).plus)
+        assert (res.radius, res.centers) == (radius, centers)
 
     @pytest.mark.parametrize("case", sorted(PACK2_CASES))
     def test_pack2_exact_matches_brute_force(self, case):

@@ -78,7 +78,8 @@ def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
 def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigError(f"--lam must be a finite positive number, got {lam}")
-    mask, w, _ = _setup(cfg)
+    mask = cfg.build_mask()
+    w = cfg.build_weight(mask)
     grid, values, _ = fieldio.load_array(field_path)
     if grid != cfg.grid:
         raise GridMismatchError(

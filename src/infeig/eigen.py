@@ -3,17 +3,19 @@
 Energy uses per-cell forward differences from each cell's base corner, so
 both the energy and the mass have exact analytic gradients. The principal
 eigenvalue is found by projected L-BFGS on log E - log G over nonnegative
-fields, with the inverse diagonal of the lagged-diffusivity (Kacanov)
-stiffness as the initial Hessian, so the contrast of |grad u|^(p-2) at
-large p does not set the iteration count; a solve is converged only when
-its relative KKT residual is below the tolerance, and the returned field
-has unit weighted p-mass. All p-th roots and normalizations go through log
-space so p = 64 stays finite in doubles.
+fields. Its initial Hessian is one degree-1 Chebyshev-Jacobi step on the
+lagged-diffusivity (Kacanov) stiffness A(u), H0 = D - 0.4 D A D with
+D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
+the iteration count; a solve is converged only when its relative KKT
+residual is below the tolerance, and the returned field has unit weighted
+p-mass. All p-th roots and normalizations go through log space so p = 64
+stays finite in doubles.
 
 The solver does not call the public kernels: it evaluates each trial in
-one private pass whose power arrays the gradient and the diagonal at the
-accepted trial reuse, and keeps its L-BFGS memory with the pairs' Gram
-matrix. The public kernels are the reference the tests hold the solver to.
+one private pass whose power arrays the gradient and A(u) at the accepted
+trial reuse, and keeps its L-BFGS memory with the pairs' Gram matrix, so a
+direction applies H0 once. The public kernels are the reference the tests
+hold the solver to.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ _MEMORY = 10    # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
 _CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV * y.y
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
+_CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
+                # in D A for a Jacobi-scaled spectrum on [1/2, 2]
 _SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
 
 
@@ -197,16 +201,72 @@ def seed_cone(w: WeightField, p: float,
     raise SeedMassError("cannot seed positive mass")
 
 
+class _Stiffness:
+    """The lagged-diffusivity cell stiffness A(u) on the inside nodes and the
+    L-BFGS initial Hessian H0 = D - _CHEB D A D built on it. A's quadratic
+    form is v . A v = sum over cells of pg ((dx v)^2 + (dy v)^2), with dx, dy
+    the differences from each cell's base corner and v zero outside, and
+    D = 1 / diag A floored at _EPS_D of its max. By Gershgorin the spectrum
+    of D A lies in [0, 2], on every principal submatrix too, so on any free
+    set H0 >= (1 - 2 _CHEB) D. ``update`` moves it to the pg of a new
+    iterate; the two grid buffers are reused."""
+
+    def __init__(self, inside: np.ndarray):
+        self.inside = inside
+        self.nodes = np.zeros(inside.shape)  # zero outside the inside nodes
+        self.cells = np.zeros(inside.shape)  # scatter buffer
+        self.pg = self.D = None
+
+    def update(self, pg: np.ndarray) -> None:
+        self.pg = pg
+        # 2 pg of the node's own cell plus pg of its -x and -y cells
+        diag = self._spread(2.0 * pg, pg, pg)
+        self.D = 1.0 / np.maximum(diag, _EPS_D * diag.max())
+
+    def _spread(self, base, sx, sy) -> np.ndarray:
+        """Inside values of the nodal sums of the cell terms: base at each
+        cell's base corner, sx at its +x and sy at its +y corner."""
+        cells = self.cells
+        cells[:-1, :-1] = base
+        cells[-1, :] = 0.0
+        cells[:-1, -1] = 0.0
+        cells[1:, :-1] += sx
+        cells[:-1, 1:] += sy
+        return cells[self.inside]
+
+    def matvec(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+        """A v on the inside nodes from the cell differences vx, vy of v."""
+        sx, sy = self.pg * vx, self.pg * vy
+        return self._spread(-(sx + sy), sx, sy)
+
+    def _differences(self, v: np.ndarray):
+        nodes = self.nodes
+        nodes[self.inside] = v
+        return nodes[1:, :-1] - nodes[:-1, :-1], nodes[:-1, 1:] - nodes[:-1, :-1]
+
+    def h0(self, q: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """H0 q, with D zero off the free set: the free-set block of H0
+        applied to q there, zero elsewhere."""
+        v = D * q
+        return v - (_CHEB * D) * self.matvec(*self._differences(v))
+
+    def h0_quad(self, y: np.ndarray, D: np.ndarray) -> float:
+        """y . H0 y over the free set, D zero off it; no scatter."""
+        v = D * y
+        vx, vy = self._differences(v)
+        return float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
+
+
 class _Memory:
     """The last ``_MEMORY`` curvature pairs (s, y), as rows of S and Y, with
-    their Gram matrix SY[i, j] = s_i . y_j, so that the two-loop recursion
-    runs on m x m scalars. ``order`` lists the live slots oldest first; the
-    other rows hold zeros or old pairs and get zero coefficients."""
+    their Gram matrix SY[i, j] = s_i . y_j, so that both loops of the
+    two-loop recursion run on m x m scalars around one application of the
+    initial Hessian. ``order`` lists the live slots oldest first; the other
+    rows hold zeros or old pairs and get zero coefficients."""
 
     def __init__(self, n: int):
         self.S = np.zeros((_MEMORY, n))
         self.Y = np.zeros((_MEMORY, n))
-        self.YD = np.empty((_MEMORY, n))  # Y * D, refilled by direction
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
 
@@ -225,13 +285,14 @@ class _Memory:
         self.order.append(slot)
 
     def direction(self, g: np.ndarray, free: np.ndarray,
-                  D: np.ndarray) -> np.ndarray:
+                  stiff: _Stiffness) -> np.ndarray:
         """-H g by the two-loop recursion over the stored pairs with the
-        initial Hessian gamma diag(D), every vector restricted to the free
-        variables; zero on the bound ones. Pairs with s . y <= 0 on the free
-        set are skipped, and gamma = s . y / y . D y of the newest kept
-        pair."""
+        initial Hessian gamma H0 of ``stiff``, every vector restricted to
+        the free variables; zero on the bound ones. Pairs with s . y <= 0 on
+        the free set are skipped, and gamma = s . y / y . H0 y of the newest
+        kept pair."""
         SY = self.SY
+        D = stiff.D
         bound = ~free
         has_bound = bound.any()
         if has_bound:
@@ -239,24 +300,26 @@ class _Memory:
             SY = SY - self.S[:, bound] @ self.Y[:, bound].T
             g = np.where(free, g, 0.0)
             D = np.where(free, D, 0.0)
-        YD = np.multiply(self.Y, D, out=self.YD)
-        sg, ydg = (self.S @ g).tolist(), (YD @ g).tolist()
-        sy, ys, ydy = SY.tolist(), SY.T.tolist(), (YD @ self.Y.T).tolist()
+        sg = (self.S @ g).tolist()
+        sy, ys = SY.tolist(), SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
-        # -d = gamma D (g - a Y) + c S: a_i = s_i . q / s_i . y_i newest
-        # first, then c_i = a_i - y_i . r / s_i . y_i oldest first, where q
-        # and r are the two-loop vectors at that point
+        # -d = r + c S with r = gamma H0 (g - a Y): a_i = s_i . q / s_i . y_i
+        # newest first, then c_i = a_i - y_i . (r + c S) / s_i . y_i oldest
+        # first, where q is the first loop's vector at that point
         a = [0.0] * _MEMORY
         for i in reversed(hist):
             a[i] = (sg[i] - sum(map(mul, a, sy[i]))) / sy[i][i]
-        gamma = sy[hist[-1]][hist[-1]] / ydy[hist[-1]][hist[-1]] if hist else 1.0
+        gamma = 1.0
+        if hist:
+            new = hist[-1]
+            gamma = sy[new][new] / stiff.h0_quad(self.Y[new], D)
+        r = stiff.h0(g - np.array(a) @ self.Y, D)
+        r *= gamma
+        yr = (self.Y @ r).tolist()
         c = [0.0] * _MEMORY
         for i in hist:
-            yr = (gamma * (ydg[i] - sum(map(mul, a, ydy[i])))
-                  + sum(map(mul, c, ys[i])))
-            c[i] = a[i] - yr / sy[i][i]
-        d = (gamma * D) * (np.array(a) @ self.Y - g)
-        d -= np.array(c) @ self.S
+            c[i] = a[i] - (yr[i] + sum(map(mul, c, ys[i]))) / sy[i][i]
+        d = -(r + np.array(c) @ self.S)
         if has_bound:
             d[bound] = 0.0
         return d
@@ -272,10 +335,11 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     Cauchy point).
 
     The direction is the two-loop recursion on the free variables (not
-    u = 0 with df > 0), run on the Gram matrix of the stored pairs, with the
-    initial Hessian gamma D (Nocedal-Wright 7.2): D = 1 / diag A(u) at the
-    current iterate, A(u) the cell stiffness weighted by the lagged
-    diffusivity |grad u|^(p-2), floored at ``_EPS_D`` of its max. It is
+    u = 0 with df > 0), run on the Gram matrix of the stored pairs around one
+    application of the initial Hessian gamma H0 (Nocedal-Wright 7.2):
+    H0 = D - _CHEB D A D on the free set, A = A(u) the cell stiffness at the
+    current iterate weighted by the lagged diffusivity |grad u|^(p-2) and
+    D = 1 / diag A floored at ``_EPS_D`` of its max (``_Stiffness``). It is
     reset to -D df when it is not a descent direction. The line search
     backtracks on the projected arc max(u + tau d, 0) and accepts only a
     strict Armijo decrease with positive weighted mass, so each accepted
@@ -301,7 +365,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     m = w.m[inside]
     c_in = None if C is None else C.u[inside]
     u = np.zeros(inside.shape)
-    cells = np.zeros(inside.shape)  # scatter buffer of the energy gradient
+    stiff = _Stiffness(inside)  # A(u) and H0 at the current iterate
 
     def evaluate(x):
         """One pass at x >= 0: (log lambda, log G, cache), or None when the
@@ -335,13 +399,12 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
 
     def gradient(x, loglam, logG, cache):
-        """(df, relative KKT residual, D) at the accepted trial x from its
-        cache. On the unit-mass rescaling uh = c u, f's gradient is
-        c (dE - lam dG) / lam; dE's cell part is kg * sum(pg (ux, uy)) and
-        the mass and C parts km * coef * t^(p-1), with kg and km in logs.
-        D is the inverse diagonal of the lagged-diffusivity stiffness
-        sum(pg |grad u|^2), floored at _EPS_D of its max; only its shape
-        matters, since the L-BFGS scaling gamma absorbs the constant."""
+        """(df, relative KKT residual) at the accepted trial x from its
+        cache, and ``stiff`` moved to x's pg. On the unit-mass rescaling
+        uh = c u, f's gradient is c (dE - lam dG) / lam; dE's cell part is
+        kg * A(x) x and the mass and C parts km * coef * t^(p-1), with kg
+        and km in logs. Only the shape of A matters to H0, since the L-BFGS
+        scaling gamma absorbs the constant."""
         tp1, sm, ux, uy, pg, log_g2max = cache
         log_c = -logG / p
         log_p = math.log(p)
@@ -349,25 +412,14 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         log_km = 2 * log_h + log_p - (p - 1) / p * (2 * log_h + math.log(sm))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # everything below is divided by kg, which the KKT ratio ignores
-            sx, sy = pg * ux, pg * uy
-            cells[:-1, :-1] = -(sx + sy)
-            cells[-1, :] = 0.0
-            cells[:-1, -1] = 0.0
-            cells[1:, :-1] += sx
-            cells[:-1, 1:] += sy
-            gE = cells[inside]
-            # 2 pg of the node's own cell plus pg of its -x and -y cells
-            cells[:-1, :-1] = 2.0 * pg
-            cells[1:, :-1] += pg
-            cells[:-1, 1:] += pg
-            diag = cells[inside]
-            D = 1.0 / np.maximum(diag, _EPS_D * diag.max())
+            stiff.update(pg)
+            gE = stiff.matvec(ux, uy)
             if C is not None:
                 gE += (np.exp(log_km - log_kg) * c_in) * tp1
             r = gE - (np.exp(log_km - log_kg + loglam) * m) * tp1
             kkt = np.abs(np.where((x == 0.0) & (r > 0.0), 0.0, r)).max()
             r *= np.exp(log_kg + log_c - loglam)
-            return r, float(kkt / np.abs(gE).max()), D
+            return r, float(kkt / np.abs(gE).max())
 
     def line_search(x, g, d, loglam, tau):
         """(x, evaluation, tau) at the first of tau, tau/2, ... on the
@@ -390,7 +442,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         x = seed_cone(w, p, dist).u[inside]
         ev = evaluate(x)
     loglam, logG, cache = ev
-    g, kkt, D = gradient(x, loglam, logG, cache)
+    g, kkt = gradient(x, loglam, logG, cache)
     memory = _Memory(x.size)
     it = 0
     tau = 0.0
@@ -407,14 +459,14 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         free = ~((x == 0.0) & (g > 0.0))
         step = None
         if memory:
-            d = memory.direction(g, free, D)
+            d = memory.direction(g, free, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
             # no memory, no descent direction or no decrease along it:
             # restart along -D df with a first step of 1% of max u
             memory.clear()
-            d = np.where(free, -D * g, 0.0)
+            d = np.where(free, -stiff.D * g, 0.0)
             step = line_search(x, g, d, loglam,
                                0.01 * x.max() / np.abs(d).max())
         if step is None:
@@ -424,7 +476,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         xt, (loglam, logG, cache), tau = step
         if callback is not None:
             callback(loglam)
-        gt, kkt, D = gradient(xt, loglam, logG, cache)
+        gt, kkt = gradient(xt, loglam, logG, cache)
         s, y = xt - x, gt - g
         if s @ y > _CURV * (y @ y):
             memory.push(s, y)

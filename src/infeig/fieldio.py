@@ -26,11 +26,9 @@ def save_array(path, grid: Grid, values: np.ndarray, kind: str) -> None:
     with open(path, "w") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
         if kind == "mask":
-            for row in values.astype(int):
-                f.write(",".join(str(v) for v in row) + "\n")
+            np.savetxt(f, values.astype(int), fmt="%d", delimiter=",")
         else:
-            for row in values:
-                f.write(",".join("%.17g" % v for v in row) + "\n")
+            np.savetxt(f, values, fmt="%.17g", delimiter=",")
 
 
 def load_array(path) -> tuple[Grid, np.ndarray, str]:

@@ -236,6 +236,15 @@ def test_sweep_roots_match_polished():
         assert abs(rec.lambda_root - ref) <= 1e-5 * ref
 
 
+def test_ex1_sweep_iteration_budget():
+    # the Chebyshev-Jacobi initial Hessian certifies the 96x96 sweep in ~500
+    # iterations, the diagonal one took 863; the bound leaves room for the
+    # +-20 % that last-bit changes move the counts
+    recs = example1_sweep()["recs"]
+    assert all(rec.converged for rec in recs)
+    assert sum(rec.iterations for rec in recs) <= 650
+
+
 def strip_sweep(n):
     """Boundary-strip weight (m = +1 for r > 0.8) with C = 1 on an n x n
     grid, swept at p = 16, 64: the configuration of the strip benchmark.

@@ -182,7 +182,7 @@ class TestExitCodes:
     def test_sweep_leaves_scipy_sparse_unloaded(self, tmp_path):
         # importing scipy.sparse.linalg adds ~8 MB to a sweep's ~60 MB peak
         # RSS, close to the benchmark's 10 % bound on peak_rss_mb: the solver
-        # preconditions with a diagonal so that it needs no sparse matrix
+        # applies its stiffness by numpy scatters, with no sparse matrix
         path, _ = disk_config(tmp_path, h=1 / 16, p_list=[4, 8],
                               zero_order={"value": 1.0})
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -9,9 +9,9 @@ from conftest import disk_setup, example1_weight, uniform_weight
 from infeig import (ScalarField, SolverOpts, cone_field, dirichlet_energy_p,
                     mu1, negate, solve_lambda1, sweep, two_cone_upper_bound,
                     weighted_mass_p)
-from infeig.eigen import (_MEMORY, SweepRecord, _Memory, cone_rayleigh_root,
-                          dirichlet_energy_grad, rayleigh, seed_cone,
-                          weighted_mass_grad)
+from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _Stiffness,
+                          cone_rayleigh_root, dirichlet_energy_grad, rayleigh,
+                          seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
 
@@ -345,16 +345,46 @@ class TestSolver:
         assert with_C.lam > plain.lam
 
 
-def two_loop_reference(g, pairs, free, D):
-    """-H g by the plain two-loop recursion over (s, y) pairs (oldest first)
-    with the initial Hessian gamma diag(D), gamma = s . y / y . D y of the
-    newest kept pair, restricted to the free variables; pairs with s . y <= 0
-    there are skipped."""
-    sel = slice(None) if free.all() else free
-    q, D = g[sel], D[sel]
+def dense_stiffness(pg, inside):
+    """Dense lagged-diffusivity stiffness on the inside nodes (row-major
+    order), cell by cell: each cell's x and y edges from its base corner add
+    pg to both end nodes' diagonals and -pg off the diagonal; an edge end
+    outside the mask is dropped, as the field is zero there."""
+    index = -np.ones(inside.shape, dtype=int)
+    index[inside] = np.arange(inside.sum())
+    A = np.zeros((inside.sum(), inside.sum()))
+    for i in range(inside.shape[0] - 1):
+        for j in range(inside.shape[1] - 1):
+            base = index[i, j]
+            for other in (index[i + 1, j], index[i, j + 1]):
+                if base >= 0:
+                    A[base, base] += pg[i, j]
+                if other >= 0:
+                    A[other, other] += pg[i, j]
+                if base >= 0 and other >= 0:
+                    A[base, other] -= pg[i, j]
+                    A[other, base] -= pg[i, j]
+    return A
+
+
+def dense_h0(pg, inside):
+    """(H0, D): H0 = D - 0.4 D A D with D = 1 / diag A floored at 1e-3 of
+    its max."""
+    A = dense_stiffness(pg, inside)
+    diag = np.diag(A)
+    D = 1.0 / np.maximum(diag, 1e-3 * diag.max())
+    return np.diag(D) - 0.4 * D[:, None] * A * D[None, :], D
+
+
+def two_loop_reference(g, pairs, free, H0):
+    """-H g by the textbook two-loop recursion over (s, y) pairs (oldest
+    first) with the dense initial Hessian gamma H0, gamma = s . y / y . H0 y
+    of the newest kept pair, restricted to the free variables; pairs with
+    s . y <= 0 there are skipped."""
+    q, H0 = g[free], H0[np.ix_(free, free)]
     hist = []
     for s, y in pairs:
-        s, y = s[sel], y[sel]
+        s, y = s[free], y[free]
         sy = s @ y
         if sy > 0.0:
             hist.append((s, y, sy))
@@ -366,20 +396,35 @@ def two_loop_reference(g, pairs, free, D):
     gamma = 1.0
     if hist:
         s, y, sy = hist[-1]
-        gamma = sy / (y @ (D * y))
-    q = gamma * D * q
+        gamma = sy / (y @ H0 @ y)
+    q = gamma * (H0 @ q)
     for (s, y, sy), a in zip(hist, reversed(alphas)):
         q = q + (a - (y @ q) / sy) * s
     d = np.zeros_like(g)
-    d[sel] = -q
+    d[free] = -q
     return d
+
+
+def random_stiffness(rng, decades):
+    """(stiffness, pg) on the h = 1/10 disk's inside nodes, pg log-uniform
+    over the given number of decades per cell."""
+    _, mask, _ = disk_setup(0.1)
+    inside = mask.inside
+    pg = 10.0 ** rng.uniform(-decades, 0.0, (inside.shape[0] - 1,
+                                             inside.shape[1] - 1))
+    stiff = _Stiffness(inside)
+    stiff.update(pg)
+    return stiff, pg
 
 
 class TestLbfgsMemory:
     @pytest.mark.parametrize("bound_share", [0.0, 0.1])
     def test_gram_direction_matches_two_loop(self, bound_share):
         rng = np.random.default_rng(23)
-        n = 400
+        stiff, pg = random_stiffness(rng, 3.0)
+        H0, D = dense_h0(pg, stiff.inside)
+        assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
+        n = D.size
         free = rng.random(n) >= bound_share
         pairs = []
         for k in range(_MEMORY + 3):  # wraps the ring
@@ -397,20 +442,36 @@ class TestLbfgsMemory:
             mem.push(s, y)
         assert len(mem) == _MEMORY
 
-        def check(g, pairs, D):
-            d = mem.direction(g, free, D)
-            ref = two_loop_reference(g, pairs, free, D)
+        def check(g, pairs):
+            d = mem.direction(g, free, stiff)
+            ref = two_loop_reference(g, pairs, free, H0)
             assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
             assert (d[~free] == 0.0).all()
 
-        for k in range(3):
-            # a diagonal spanning decades, different at every call, and
-            # the identity (the plain gamma I scaling)
-            D = 10.0 ** rng.uniform(-3.0, 0.0, n) if k < 2 else np.ones(n)
-            check(rng.standard_normal(n), pairs[-_MEMORY:], D)
+        for _ in range(3):
+            check(rng.standard_normal(n), pairs[-_MEMORY:])
         mem.clear()
         mem.push(*pairs[0])
-        check(rng.standard_normal(n), pairs[:1], 10.0 ** rng.uniform(-3.0, 0.0, n))
+        check(rng.standard_normal(n), pairs[:1])
+
+    def test_h0_positive_definite_on_free_set(self):
+        # D A has its spectrum in [0, 2] on every principal submatrix
+        # (Gershgorin), so H0 >= 0.2 D whatever the contrast of pg
+        rng = np.random.default_rng(5)
+        stiff, pg = random_stiffness(rng, 10.0)
+        ref, D = dense_h0(pg, stiff.inside)
+        free = rng.random(D.size) >= 0.2
+        assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
+        Dfree = np.where(free, stiff.D, 0.0)
+        H0 = np.column_stack([stiff.h0(e, Dfree) for e in np.eye(D.size)])
+        assert (H0[~free] == 0.0).all() and (H0[:, ~free] == 0.0).all()
+        H0 = H0[np.ix_(free, free)]
+        scale = np.abs(H0).max()
+        assert np.abs(H0 - ref[np.ix_(free, free)]).max() <= 1e-12 * scale
+        assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
+        assert np.linalg.eigvalsh(H0).min() >= 0.2 * D[free].min()
+        scaled = H0 / np.sqrt(np.outer(D[free], D[free]))
+        assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
 
 
 class TestTwoConeBound:

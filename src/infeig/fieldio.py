@@ -8,6 +8,7 @@ written with %.17g so doubles round-trip bit-identically.
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 
@@ -40,16 +41,29 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
             kind = header.get("kind", "scalar")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: bad field header: {e!r}") from e
-        rows = [line.strip().split(",") for line in f if line.strip()]
-    if len(rows) != grid.nx or any(len(r) != grid.ny for r in rows):
-        raise ConfigError(f"{path}: body does not match {grid.nx}x{grid.ny} header")
-    try:
-        if kind == "mask":
-            values = np.array(rows, dtype=int).astype(bool)
-        else:
-            values = np.array(rows, dtype=float)
-    except ValueError as e:
-        raise ConfigError(f"{path}: bad field value: {e}") from e
+        mismatch = f"{path}: body does not match {grid.nx}x{grid.ny} header"
+        try:
+            with warnings.catch_warnings():  # an empty body is a mismatch
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt((line for line in f if line.strip()),
+                                    delimiter=",", comments=None, ndmin=2,
+                                    dtype=int if kind == "mask" else float)
+        except ValueError as e:
+            if not _body_shape_matches(path, grid):
+                raise ConfigError(mismatch) from e
+            raise ConfigError(f"{path}: bad field value: {e}") from e
+    if values.shape != grid.shape:
+        raise ConfigError(mismatch)
     if not np.isfinite(values).all():
         raise ConfigError(f"{path}: non-finite field value")
+    if kind == "mask":
+        values = values.astype(bool)
     return grid, values, kind
+
+
+def _body_shape_matches(path, grid: Grid) -> bool:
+    """Whether the non-blank body lines form nx rows of ny cells."""
+    with open(path) as f:
+        f.readline()
+        cells = [line.count(",") + 1 for line in f if line.strip()]
+    return len(cells) == grid.nx and all(c == grid.ny for c in cells)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.ndimage import binary_erosion
 
 from .grid import ScalarField
 from .weight import WeightField
@@ -27,8 +26,6 @@ POS, NEG, ZERO, EXCLUDED = 1, -1, 0, 9
 KINK_FRACTION = 0.2
 CURVATURE_GUARD = 0.5
 DEFAULT_C_TOL = 4.0
-# 8-neighbourhood for erosion; the default border_value=0 clears the index rim
-_NBHD = np.ones((3, 3), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -65,14 +62,29 @@ def _stencils(u: np.ndarray, h: float):
     return ux, uy, uxx, uyy, uxy
 
 
-def inf_laplacian(u: ScalarField) -> ScalarField:
-    """<D^2u grad u, grad u> by centered 3x3 stencils; zero on the index rim."""
-    h = u.grid.h
-    ux, uy, uxx, uyy, uxy = _stencils(u.u, h)
+def _inf_lap(ux, uy, uxx, uyy, uxy) -> np.ndarray:
     out = ux * ux * uxx + 2 * ux * uy * uxy + uy * uy * uyy
     out[0, :] = out[-1, :] = 0.0
     out[:, 0] = out[:, -1] = 0.0
-    return ScalarField(u.grid, out)
+    return out
+
+
+def inf_laplacian(u: ScalarField) -> ScalarField:
+    """<D^2u grad u, grad u> by centered 3x3 stencils; zero on the index rim."""
+    return ScalarField(u.grid, _inf_lap(*_stencils(u.u, u.grid.h)))
+
+
+def erode(a: np.ndarray) -> np.ndarray:
+    """3x3 binary erosion: a node stays set iff it and its 8 neighbours are
+    set. Nodes beyond the array edge count as unset, so the rim clears."""
+    out = np.zeros(a.shape, dtype=bool)
+    m, n = a.shape
+    core = out[1:-1, 1:-1]
+    core[...] = True
+    for di in range(3):
+        for dj in range(3):
+            core &= a[di:di + m - 2, dj:dj + n - 2]
+    return out
 
 
 def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np.ndarray:
@@ -109,7 +121,7 @@ def regime_labels(u: ScalarField, w: WeightField,
     h = u.grid.h
     # centered 3x3 stencils are only meaningful where the full neighborhood
     # is inside; rim-adjacent nodes read Dirichlet-truncated values
-    core = binary_erosion(inside, _NBHD)
+    core = erode(inside)
     mu = w.m * u.u
     eps = opts.eps_regime
     if eps is None:
@@ -119,7 +131,7 @@ def regime_labels(u: ScalarField, w: WeightField,
     labels = np.full(u.u.shape, EXCLUDED, dtype=int)
     labels[core & (mu > eps)] = POS
     labels[core & (mu < -eps)] = NEG
-    labels[core & binary_erosion(small, _NBHD)] = ZERO
+    labels[core & erode(small)] = ZERO
     kink = excluded_nodes(u.u, h, opts.kink_tol)
     labels[kink] = EXCLUDED
     labels[~core] = EXCLUDED
@@ -139,8 +151,8 @@ def check(u: ScalarField, lam: float, w: WeightField,
     opts = opts or CheckOpts()
     h = u.grid.h
     labels = regime_labels(u, w, opts)
-    dinf = inf_laplacian(u).u
-    ux, uy, *_ = _stencils(u.u, h)
+    ux, uy, *second = _stencils(u.u, h)
+    dinf = _inf_lap(ux, uy, *second)
     gn = np.hypot(ux, uy)
     res_pos = np.abs(np.minimum(-dinf, gn - lam * u.u))
     res_neg = np.abs(np.maximum(-dinf, -gn - lam * u.u))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from infeig import cli, fieldio
+from infeig import cli, cone_field, fieldio
 from infeig.config import parse_config
 from infeig.errors import ConfigError
 from infeig.grid import Grid
@@ -171,13 +171,27 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
-    def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # scipy.optimize costs ~0.3 s and ~20 MB at start-up; the CLI needs none of it
+    def test_cli_leaves_scipy_unloaded(self, tmp_path):
+        # importing scipy.ndimage alone cost ~0.4 s of every start-up; the
+        # CLI needs no scipy module, through any geometry or check command
+        path, raw = disk_config(tmp_path, h=1 / 16)
+        grid = parse_config(raw).grid
+        field = tmp_path / "cone.csv"
+        fieldio.save_array(field, grid, cone_field(
+            (grid.nx // 2, grid.ny // 2), 1.0, grid).u, "scalar")
+        common = ["--config", str(path), "--out", str(tmp_path / "run")]
+        runs = [["limits"], ["pack", "--k", "3"],
+                ["check", "--field", str(field), "--lam", "1"]]
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = ("import sys, infeig.cli; "
-                "sys.exit('scipy.optimize' in sys.modules)")
+        code = ("import sys, infeig.cli\n"
+                f"for argv in {runs!r}:\n"
+                f"    assert infeig.cli.main(argv[:1] + {common!r} + argv[1:]) == 0\n"
+                "sys.exit(' '.join(m for m in sys.modules\n"
+                "                  if m.split('.')[0] == 'scipy') or None)\n")
         env = {**os.environ, "PYTHONPATH": src}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_sweep_leaves_scipy_sparse_unloaded(self, tmp_path):
         # importing scipy.sparse.linalg adds ~8 MB to a sweep's ~60 MB peak

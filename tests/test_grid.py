@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.ndimage import distance_transform_edt
 
 from conftest import brute_force_edt, disk_setup, random_mask
 from infeig import Disk, DomainMask, Grid, Rect, Polygon, edt, rasterize
-from infeig.errors import DegenerateDomainError
+from infeig.errors import ConfigError, DegenerateDomainError
 from infeig import fieldio
+from infeig.grid import squared_edt
 
 
 def test_grid_invariants():
@@ -98,6 +102,80 @@ def test_edt_symmetry():
                           np.rot90(d))
 
 
+def _scipy_oracle_masks(seed=2024, count=320):
+    """Seeded masks 3-60 nodes per side: random fills, and 1-node-thick
+    rows and columns laid over a random or a full background."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        nx, ny = rng.integers(3, 61, size=2)
+        kind = i % 4
+        if kind == 0:
+            inside = rng.random((nx, ny)) < rng.random()
+        elif kind == 1:
+            inside = rng.random((nx, ny)) < 0.97  # few, scattered outside nodes
+        else:
+            # thin inside lines on an outside background, or thin outside
+            # lines cutting a full inside
+            inside = np.zeros((nx, ny), dtype=bool)
+            inside[rng.integers(0, nx, size=3), :] = True
+            inside[:, rng.integers(0, ny, size=2)] = True
+            if kind == 3:
+                inside = ~inside
+        if inside.all():
+            inside[rng.integers(nx), rng.integers(ny)] = False
+        yield inside
+
+
+def test_squared_edt_matches_scipy_on_random_masks():
+    masks = list(_scipy_oracle_masks())
+    assert len(masks) >= 300
+    for inside in masks:
+        d = np.sqrt(squared_edt(inside), dtype=np.float64)
+        assert np.array_equal(d, distance_transform_edt(inside)), inside.shape
+
+
+def _sweep_disk():
+    # the unit disk on the 96^2 sweep grid
+    g = Grid(96, 96, 2.1 / 95, (-1.05, -1.05))
+    return g, rasterize([Disk((0.0, 0.0), 1.0)], g)
+
+
+def _geometry_disk():
+    # the unit disk on the 517^2 grid at h = 1/256
+    grid, mask, _ = disk_setup(1 / 256)
+    return grid, mask
+
+
+@pytest.mark.parametrize("build", [_sweep_disk, _geometry_disk])
+def test_edt_matches_scipy_on_workload_disks(build):
+    grid, mask = build()
+    assert np.array_equal(edt(mask).d,
+                          distance_transform_edt(mask.inside) * grid.h)
+
+
+def test_edt_matches_scipy_on_annulus():
+    g = Grid(161, 161, 1 / 64, (-1.25, -1.25))
+    mask = rasterize([Disk((0.0, 0.0), 1.2),
+                      Disk((0.1, 0.0), 0.45, op="difference")], g)
+    assert np.array_equal(edt(mask).d,
+                          distance_transform_edt(mask.inside) * g.h)
+
+
+def test_squared_edt_wide_array_takes_int64():
+    # nx + ny past ~32k no longer fits the scan's sums in int32
+    inside = np.ones((3, 33000), dtype=bool)
+    inside[1, [17, 20000]] = False
+    d2 = squared_edt(inside)
+    assert d2.dtype == np.int64
+    assert np.array_equal(np.sqrt(d2, dtype=np.float64),
+                          distance_transform_edt(inside))
+
+
+def test_squared_edt_needs_an_outside_node():
+    with pytest.raises(ValueError):
+        squared_edt(np.ones((4, 5), dtype=bool))
+
+
 @pytest.mark.parametrize("kind", ["mask", "scalar"])
 def test_serialization_round_trip(tmp_path, kind):
     rng = np.random.default_rng(5)
@@ -133,3 +211,32 @@ def test_serialization_bytes(tmp_path):
                                           [True, True, False]]), "mask")
     assert path.read_bytes() == (header % "mask"
                                  + "1,0,1\n0,0,0\n1,1,0\n").encode()
+
+
+@pytest.mark.parametrize("body, error", [
+    pytest.param("1,2,3\n\n4,5,6\n   \n7,8,9\n\n", None, id="blank_lines"),
+    pytest.param("1,2,3\n4,5,6\n", "body does not match 3x3 header",
+                 id="short"),
+    pytest.param("1,2,3\n4,5\n7,8,9\n", "body does not match 3x3 header",
+                 id="ragged"),
+    pytest.param("1,2,3,0\n4,5,6,0\n7,8,9,0\n",
+                 "body does not match 3x3 header", id="wide"),
+    pytest.param("", "body does not match 3x3 header", id="empty"),
+    pytest.param("1,x,3\n4,5,6\n7,8,9\n", "bad field value", id="bad_cell"),
+    pytest.param("1,2,3\n4,5,6\n7,8,nan\n", "non-finite field value",
+                 id="nan"),
+    pytest.param("1,2,3\n-inf,5,6\n7,8,9\n", "non-finite field value",
+                 id="inf"),
+])
+def test_load_array_outcomes(tmp_path, body, error):
+    path = tmp_path / "field.csv"
+    fieldio.save_array(path, Grid(3, 3, 0.5), np.zeros((3, 3)), "scalar")
+    path.write_text(path.read_text().splitlines()[0] + "\n" + body)
+    if error is None:
+        _, values, _ = fieldio.load_array(path)
+        assert np.array_equal(values, np.arange(1.0, 10.0).reshape(3, 3))
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body must not warn either
+        with pytest.raises(ConfigError, match=error):
+            fieldio.load_array(path)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.ndimage import binary_erosion
 
 from conftest import disk_setup, example1_weight, uniform_weight
 from infeig import CheckOpts, ScalarField, check, cone_field, inf_laplacian
-from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, excluded_nodes,
+from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, erode, excluded_nodes,
                               regime_labels)
 
 
@@ -136,3 +137,15 @@ class TestCheck:
         strict = check(u, 1.0, w, CheckOpts(kink_tol=1e30))
         # an unreachable threshold keeps the apex in, residual blows past tol
         assert not strict.passes["pos"]
+
+
+def test_erode_matches_scipy():
+    # masks that touch the array edge included: beyond it counts as unset
+    rng = np.random.default_rng(17)
+    nbhd = np.ones((3, 3), dtype=bool)
+    for _ in range(200):
+        nx, ny = rng.integers(1, 40, size=2)
+        a = rng.random((nx, ny)) < rng.uniform(0.5, 1.0)
+        assert np.array_equal(erode(a), binary_erosion(a, nbhd))
+    full = np.ones((6, 7), dtype=bool)
+    assert np.array_equal(erode(full), binary_erosion(full, nbhd))

@@ -9,7 +9,10 @@ D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
 the iteration count; a solve is converged only when its relative KKT
 residual is below the tolerance, and the returned field has unit weighted
 p-mass. All p-th roots and normalizations go through log space so p = 64
-stays finite in doubles.
+stays finite in doubles, and every power of a nonnegative array goes
+through ``_power``, which flushes results below the smallest normal double
+to exactly 0: at large p most bases are zero or underflow, numpy's pow is
+slow on both, and a flushed term is below the last bit of any sum.
 
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -39,6 +43,7 @@ _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
                 # in D A for a Jacobi-scaled spectrum on [1/2, 2]
 _SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
+_TINY = np.finfo(float).tiny  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,31 @@ def _cell_gradients(u: np.ndarray, h: float):
     return ux, uy
 
 
+@lru_cache
+def _underflow_cut(e: float) -> float:
+    """Largest base whose e-th power (numpy's pow) is below _TINY."""
+    b = np.array([_TINY ** (1 / e)])
+    while b ** e >= _TINY:
+        b = np.nextafter(b, 0.0)
+    while np.nextafter(b, 1.0) ** e < _TINY:
+        b = np.nextafter(b, 1.0)
+    return float(b[0])
+
+
+def _power(a: np.ndarray, e: float) -> np.ndarray:
+    """a ** e for a >= 0, with every power below the smallest normal double
+    flushed to exactly 0, zero bases included. numpy's pow is several times
+    slower on zero bases and on underflowing results, and at large p most
+    bases are one or the other; a flushed term is below the last bit of any
+    sum it enters. For e <= 1 no normal base underflows, so it is plain
+    a ** e and 0 ** 0 = 1."""
+    if e > 1:
+        keep = a > _underflow_cut(e)
+        if not keep.all():
+            return np.power(a, e, out=np.zeros_like(a), where=keep)
+    return a ** e
+
+
 def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
     """(value, log) of h^2 * sum(coef * a^p) for a >= 0 (coef None means 1),
     by max rescaling so the log stays finite when the value overflows; log is
@@ -91,7 +121,7 @@ def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
     M = a.max()
     if M == 0.0:
         return 0.0, None
-    r = (a / M) ** p
+    r = _power(a / M, p)
     s = float(np.sum(r if coef is None else coef * r))
     if s <= 0.0:
         # rescaled sum is O(N); the plain value is s * M^p * h^2
@@ -102,7 +132,7 @@ def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
 
 def _power_grad(u: np.ndarray, coef, p: float, h: float) -> np.ndarray:
     """Gradient of h^2 * sum(coef * |u|^p) with respect to nodal values."""
-    return h * h * p * coef * np.abs(u) ** (p - 1) * np.sign(u)
+    return h * h * p * coef * _power(np.abs(u), p - 1) * np.sign(u)
 
 
 def dirichlet_energy_p(u: ScalarField, p: float, C: ScalarField | None = None
@@ -138,7 +168,7 @@ def dirichlet_energy_grad(u: ScalarField, p: float,
     h = u.grid.h
     ux, uy = _cell_gradients(u.u, h)
     g = ux * ux + uy * uy
-    P = p * g ** (p / 2 - 1)
+    P = p * _power(g, p / 2 - 1)
     Sx = h * P * ux  # = h^2 * P * ux * (1/h)
     Sy = h * P * uy
     out = np.zeros_like(u.u)
@@ -195,7 +225,7 @@ def seed_cone(w: WeightField, p: float,
     while radius >= 0.5 * h:
         u = cone_field(center, radius, w.grid)
         uu = np.where(w.mask.inside, u.u, 0.0)
-        if _log_power_sum(np.abs(uu), w.m, p, h)[0] > 0:
+        if _log_power_sum(np.abs(uu), w.m, p, h)[1] is not None:
             return ScalarField(w.grid, uu)
         radius *= _SHRINK
     raise SeedMassError("cannot seed positive mass")
@@ -377,7 +407,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if M == 0.0:
             return None
         t = x / M
-        tp1 = t ** (p - 1)
+        tp1 = _power(t, p - 1)
         r = tp1 * t
         sm = float(m @ r)
         if sm <= 0.0:
@@ -388,7 +418,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         gn = ux * ux + uy * uy
         gmax = gn.max()  # > 0: the outside collar is zero and M > 0
         gn /= gmax
-        pg = gn ** (p / 2 - 1)
+        pg = _power(gn, p / 2 - 1)
         log_M = math.log(M)
         log_g2max = math.log(gmax) - 2 * log_h  # log max |grad u|^2
         logG = 2 * log_h + p * log_M + math.log(sm)

@@ -54,11 +54,30 @@ def _stencils(u: np.ndarray, h: float):
     uxx = np.zeros_like(u)
     uyy = np.zeros_like(u)
     uxy = np.zeros_like(u)
-    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
-    uy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
-    uxx[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h ** 2
-    uyy[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h ** 2
-    uxy[1:-1, 1:-1] = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * h ** 2)
+    # each stencil is built in place in its output's interior, with no
+    # full-size temporaries, and in the operation order of the plain
+    # expression (u[2:] - u[:-2]) / (2 h) and its kin, so bit for bit alike
+    out = ux[1:-1, :]
+    np.subtract(u[2:, :], u[:-2, :], out=out)
+    out /= 2 * h
+    out = uy[:, 1:-1]
+    np.subtract(u[:, 2:], u[:, :-2], out=out)
+    out /= 2 * h
+    out = uxx[1:-1, :]
+    np.multiply(2, u[1:-1, :], out=out)
+    np.subtract(u[2:, :], out, out=out)
+    out += u[:-2, :]
+    out /= h ** 2
+    out = uyy[:, 1:-1]
+    np.multiply(2, u[:, 1:-1], out=out)
+    np.subtract(u[:, 2:], out, out=out)
+    out += u[:, :-2]
+    out /= h ** 2
+    out = uxy[1:-1, 1:-1]
+    np.subtract(u[2:, 2:], u[2:, :-2], out=out)
+    out -= u[:-2, 2:]
+    out += u[:-2, :-2]
+    out /= 4 * h ** 2
     return ux, uy, uxx, uyy, uxy
 
 
@@ -90,22 +109,24 @@ def erode(a: np.ndarray) -> np.ndarray:
 def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np.ndarray:
     """Ridge/kink detector: one-sided first differences disagreeing by more
     than the threshold in either axis mark the node as excluded."""
-    fx = np.zeros_like(u)
-    bx = np.zeros_like(u)
-    fy = np.zeros_like(u)
-    by = np.zeros_like(u)
-    fx[:-1, :] = (u[1:, :] - u[:-1, :]) / h
-    bx[1:, :] = (u[1:, :] - u[:-1, :]) / h
-    fy[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
-    by[:, 1:] = (u[:, 1:] - u[:, :-1]) / h
-    lip = max(np.abs(fx).max(), np.abs(fy).max())
+    m, n = u.shape
+    # one zero-padded difference array per axis: the forward difference at
+    # node i is dx[i + 1] and the backward one dx[i], zero past the rim
+    dx = np.zeros((m + 1, n))
+    dy = np.zeros((m, n + 1))
+    np.subtract(u[1:, :], u[:-1, :], out=dx[1:-1, :])
+    dx /= h
+    np.subtract(u[:, 1:], u[:, :-1], out=dy[:, 1:-1])
+    dy /= h
+    lip = max(np.abs(dx).max(), np.abs(dy).max())
     if kink_tol is None:
         if lip == 0.0:
             return np.zeros(u.shape, dtype=bool)
         height = np.abs(u).max()
         scale = height / lip  # natural length of the field
         kink_tol = min(KINK_FRACTION, CURVATURE_GUARD * (h / scale) ** (2 / 3)) * lip
-    return (np.abs(fx - bx) > kink_tol) | (np.abs(fy - by) > kink_tol)
+    return ((np.abs(dx[1:, :] - dx[:-1, :]) > kink_tol)
+            | (np.abs(dy[:, 1:] - dy[:, :-1]) > kink_tol))
 
 
 def regime_labels(u: ScalarField, w: WeightField,

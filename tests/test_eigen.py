@@ -5,13 +5,16 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import disk_setup, example1_weight, uniform_weight
-from infeig import (ScalarField, SolverOpts, cone_field, dirichlet_energy_p,
-                    mu1, negate, solve_lambda1, sweep, two_cone_upper_bound,
-                    weighted_mass_p)
-from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _Stiffness,
-                          cone_rayleigh_root, dirichlet_energy_grad, rayleigh,
-                          seed_cone, weighted_mass_grad)
+from conftest import (disk_setup, example1_weight, example2_weight,
+                      uniform_weight)
+from infeig import (Disk, Grid, ScalarField, SolverOpts, cone_field,
+                    dirichlet_energy_p, edt, eigen, mu1, negate, rasterize,
+                    regions_weight, solve_lambda1, sweep,
+                    two_cone_upper_bound, weighted_mass_p)
+from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _power, _Stiffness,
+                          _underflow_cut, cone_rayleigh_root,
+                          dirichlet_energy_grad, rayleigh, seed_cone,
+                          weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
 
@@ -63,6 +66,72 @@ def projected_kkt(res, w, C=None):
     r = np.where((res.field.u == 0.0) & (r > 0.0), 0.0, r)
     inside = w.mask.inside
     return np.abs(r[inside]).max() / np.abs(gE[inside]).max()
+
+
+TINY = np.finfo(float).tiny
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestPower:
+    @pytest.mark.parametrize("e", [0.0, 0.25, 1.0, 3.0, 7.0, 31.0, 63.0])
+    def test_flushes_exactly_the_subnormal_powers(self, e):
+        table = [0.0, 1e-310, 1e-5, 0.5, 1.0]
+        if e > 0:
+            cut = TINY ** (1 / e)
+            table += [np.nextafter(cut, 0.0), cut, np.nextafter(cut, 1.0)]
+        # and a long array, so numpy's vector loops run with a mask
+        rng = np.random.default_rng(17)
+        spread = 10.0 ** rng.uniform(-20, 0, 1000)
+        spread[rng.random(1000) < 0.3] = 0.0
+        for a in (np.array(table), spread):
+            plain = a ** e
+            want = np.where(plain >= TINY, plain, 0.0) if e > 1 else plain
+            assert (bits(_power(a, e)) == bits(want)).all()
+        if e == 0:
+            assert (_power(spread, e) == 1.0).all()
+
+    def test_cut_is_the_last_flushed_base(self):
+        for e in (1.5, 2.0, 3.0, 15.0, 31.0, 63.0, 64.0):
+            cut = np.array([_underflow_cut(e)])
+            assert (cut ** e < TINY).all()
+            assert (np.nextafter(cut, 1.0) ** e >= TINY).all()
+
+    def test_p64_kernels_match_plain_powers(self, monkeypatch):
+        # the flush drops only subnormal terms, below the last bit of each
+        # sum. The field sits on the strip weight (m = +1 for 0.8 < r < 1):
+        # exact zeros inside r < 0.8 and values rising as the 8th power of
+        # the distance from the strip's edges, so many powers underflow
+        grid, mask, _ = disk_setup(1 / 32)
+        w = example2_weight(grid, mask)
+        X, Y = grid.coords()
+        r = np.hypot(X, Y)
+        ring = np.where(mask.inside,
+                        np.clip(np.minimum(r - 0.8, 1 - r), 0, None), 0.0)
+        u = ScalarField(grid, (ring / ring.max()) ** 8)
+        C = ScalarField(grid, np.full(u.u.shape, 2.0))
+        p = 64.0
+        ux = np.diff(u.u, axis=0)[:, :-1] / grid.h
+        uy = np.diff(u.u, axis=1)[:-1, :] / grid.h
+        g = ux * ux + uy * uy
+        for a, e in ((u.u / u.u.max(), p), (u.u, p - 1), (g, p / 2 - 1)):
+            assert (a == 0).any() and ((a > 0) & (a <= _underflow_cut(e))).any()
+
+        def kernels():
+            return [weighted_mass_p(u, w, p), *dirichlet_energy_p(u, p),
+                    *dirichlet_energy_p(u, p, C), rayleigh(u, w, p),
+                    rayleigh(u, w, p, C)], [
+                    weighted_mass_grad(u, w, p), dirichlet_energy_grad(u, p),
+                    dirichlet_energy_grad(u, p, C)]
+
+        values, grads = kernels()
+        monkeypatch.setattr(eigen, "_power", lambda a, e: a ** e)
+        plain_values, plain_grads = kernels()
+        assert values == pytest.approx(plain_values, rel=1e-15)
+        for got, plain in zip(grads, plain_grads, strict=True):
+            np.testing.assert_allclose(got, plain, rtol=1e-15, atol=1e-300)
 
 
 class TestEnergyAndMass:
@@ -557,6 +626,26 @@ class TestSweep:
                 cone_bound=cone_rayleigh_root(w, p, dist, Cf),
                 iterations=res.iterations, converged=res.converged)
             assert (field.u == res.field.u).all()
+
+    @pytest.mark.parametrize("s", [1e-5, 1e-6])
+    def test_small_geometry_seeds_at_p64(self, s):
+        # the ex1 disk scaled by s: at p = 64 the seed cone's plain weighted
+        # mass underflows to 0 while its log is finite, and every root
+        # scales as 1/s
+        def ex1(s):
+            grid = Grid(33, 33, 2.1 * s / 32, (-1.05 * s, -1.05 * s))
+            mask = rasterize([Disk((0.0, 0.0), s)], grid)
+            w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.5 * s), 1.0)],
+                               grid, mask)
+            dist = edt(mask)
+            return w, dist, sweep(w, [4, 16, 64], dist=dist)[0]
+
+        w, dist, recs = ex1(s)
+        assert weighted_mass_p(seed_cone(w, 64.0, dist), w, 64.0) == 0.0
+        for rec, ref in zip(recs, ex1(1.0)[2], strict=True):
+            assert rec.converged
+            assert rec.lambda_root * s == pytest.approx(ref.lambda_root, rel=1e-6)
+            assert rec.cone_bound * s == pytest.approx(ref.cone_bound, rel=1e-12)
 
     def test_zero_order_target(self):
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)

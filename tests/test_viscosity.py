@@ -3,7 +3,8 @@ import pytest
 from scipy.ndimage import binary_erosion
 
 from conftest import disk_setup, example1_weight, uniform_weight
-from infeig import CheckOpts, ScalarField, check, cone_field, inf_laplacian
+from infeig import (CheckOpts, ScalarField, check, cone_field, inf_laplacian,
+                    viscosity)
 from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, erode, excluded_nodes,
                               regime_labels)
 
@@ -149,3 +150,48 @@ def test_erode_matches_scipy():
         assert np.array_equal(erode(a), binary_erosion(a, nbhd))
     full = np.ones((6, 7), dtype=bool)
     assert np.array_equal(erode(full), binary_erosion(full, nbhd))
+
+
+def stencils_by_expression(u, h):
+    """The stencils as whole-array expressions into zero-filled outputs."""
+    ux, uy, uxx, uyy, uxy = (np.zeros_like(u) for _ in range(5))
+    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
+    uy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
+    uxx[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h ** 2
+    uyy[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h ** 2
+    uxy[1:-1, 1:-1] = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * h ** 2)
+    return ux, uy, uxx, uyy, uxy
+
+
+def excluded_by_expression(u, h, kink_tol):
+    """The kink test on four zero-padded one-sided difference arrays."""
+    fx, bx, fy, by = (np.zeros_like(u) for _ in range(4))
+    fx[:-1, :] = (u[1:, :] - u[:-1, :]) / h
+    bx[1:, :] = (u[1:, :] - u[:-1, :]) / h
+    fy[:, :-1] = (u[:, 1:] - u[:, :-1]) / h
+    by[:, 1:] = (u[:, 1:] - u[:, :-1]) / h
+    return (np.abs(fx - bx) > kink_tol) | (np.abs(fy - by) > kink_tol)
+
+
+def test_stencils_and_kinks_match_expressions_bitwise():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        nx, ny = rng.integers(2, 40, size=2)
+        h = float(rng.uniform(1e-3, 0.5))
+        u = rng.normal(size=(nx, ny)) * 10.0 ** rng.uniform(-8, 8)
+        u[rng.random((nx, ny)) < 0.3] = 0.0
+        for got, want in zip(viscosity._stencils(u, h),
+                             stencils_by_expression(u, h), strict=True):
+            assert (got.view(np.int64) == want.view(np.int64)).all()
+        tol = float(np.abs(u).max() / h * rng.uniform(0.01, 2.0))
+        assert np.array_equal(excluded_nodes(u, h, tol),
+                              excluded_by_expression(u, h, tol))
+    # the automatic threshold reads the same Lipschitz bound
+    grid, mask, dist = disk_setup(1 / 32)
+    u = cone_field((grid.nx // 2, grid.ny // 2), 0.7, grid, dist).u
+    lip = np.abs(np.diff(u, axis=0)).max() / grid.h
+    lip = max(lip, np.abs(np.diff(u, axis=1)).max() / grid.h)
+    scale = np.abs(u).max() / lip
+    tol = min(0.2, 0.5 * (grid.h / scale) ** (2 / 3)) * lip
+    assert np.array_equal(excluded_nodes(u, grid.h),
+                          excluded_by_expression(u, grid.h, tol))

@@ -17,8 +17,11 @@ slow on both, and a flushed term is below the last bit of any sum.
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
 trial reuse, and keeps its L-BFGS memory with the pairs' Gram matrix, so a
-direction applies H0 once. The public kernels are the reference the tests
-hold the solver to.
+direction applies H0 once. Its cell arrays live on one flat band of the
+row-major grid (``_Stiffness``), so the cell differences and the stiffness
+scatter are contiguous 1-D slices, not strided 2-D views. The public
+kernels stay on the 2-D grid and are the reference the tests hold the
+solver to.
 """
 
 from __future__ import annotations
@@ -239,12 +242,26 @@ class _Stiffness:
     D = 1 / diag A floored at _EPS_D of its max. By Gershgorin the spectrum
     of D A lies in [0, 2], on every principal submatrix too, so on any free
     set H0 >= (1 - 2 _CHEB) D. ``update`` moves it to the pg of a new
-    iterate; the two grid buffers are reused."""
+    iterate.
+
+    Every cell array lives on one flat band of the row-major grid: nodes
+    [lo, hi) from one row before the first inside node to one row after the
+    last, and L = hi - lo - ny cells, cell k based at band node k with its
+    +x corner at k + ny and its +y corner at k + 1. The differences and the
+    scatter are then contiguous 1-D slices. The band covers every cell with
+    an inside corner; the cells based in the last column wrap into the next
+    row, but all their corners lie on the outside collar, so their
+    differences are 0 and they scatter only to outside nodes, which the
+    gather drops. The two band buffers are reused."""
 
     def __init__(self, inside: np.ndarray):
-        self.inside = inside
-        self.nodes = np.zeros(inside.shape)  # zero outside the inside nodes
-        self.cells = np.zeros(inside.shape)  # scatter buffer
+        flat = np.flatnonzero(inside.ravel())
+        ny = inside.shape[1]
+        lo, hi = flat[0] - ny, flat[-1] + ny + 1  # in the grid by the collar
+        self.ny, self.L = ny, hi - lo - ny
+        self.band_inside = inside.ravel()[lo:hi]
+        self.nodes = np.zeros(hi - lo)  # zero outside the inside nodes
+        self.cells = np.zeros(hi - lo)  # scatter buffer
         self.pg = self.D = None
 
     def update(self, pg: np.ndarray) -> None:
@@ -254,36 +271,37 @@ class _Stiffness:
         self.D = 1.0 / np.maximum(diag, _EPS_D * diag.max())
 
     def _spread(self, base, sx, sy) -> np.ndarray:
-        """Inside values of the nodal sums of the cell terms: base at each
-        cell's base corner, sx at its +x and sy at its +y corner."""
-        cells = self.cells
-        cells[:-1, :-1] = base
-        cells[-1, :] = 0.0
-        cells[:-1, -1] = 0.0
-        cells[1:, :-1] += sx
-        cells[:-1, 1:] += sy
-        return cells[self.inside]
+        """Inside values of the nodal sums of the band cell terms: base at
+        each cell's base corner, sx at its +x and sy at its +y corner."""
+        cells, L = self.cells, self.L
+        cells[:L] = base
+        cells[L:] = 0.0
+        cells[self.ny:] += sx
+        cells[1:L + 1] += sy
+        return cells[self.band_inside]
 
     def matvec(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """A v on the inside nodes from the cell differences vx, vy of v."""
+        """A v on the inside nodes from the band cell differences vx, vy of
+        v."""
         sx, sy = self.pg * vx, self.pg * vy
         return self._spread(-(sx + sy), sx, sy)
 
-    def _differences(self, v: np.ndarray):
-        nodes = self.nodes
-        nodes[self.inside] = v
-        return nodes[1:, :-1] - nodes[:-1, :-1], nodes[:-1, 1:] - nodes[:-1, :-1]
+    def differences(self, v: np.ndarray):
+        """Band cell differences (dx v, dy v) of the inside values v."""
+        nodes, L = self.nodes, self.L
+        nodes[self.band_inside] = v
+        return nodes[self.ny:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
     def h0(self, q: np.ndarray, D: np.ndarray) -> np.ndarray:
         """H0 q, with D zero off the free set: the free-set block of H0
         applied to q there, zero elsewhere."""
         v = D * q
-        return v - (_CHEB * D) * self.matvec(*self._differences(v))
+        return v - (_CHEB * D) * self.matvec(*self.differences(v))
 
     def h0_quad(self, y: np.ndarray, D: np.ndarray) -> float:
         """y . H0 y over the free set, D zero off it; no scatter."""
         v = D * y
-        vx, vy = self._differences(v)
+        vx, vy = self.differences(v)
         return float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
 
 
@@ -381,10 +399,15 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     at most ``opts.tol``. ``stop`` says why the solve ended: "tol",
     "max_iter", "line_search" (no trial decreases lambda, the floating-point
     floor) or "nonfinite". A warm start ``u0`` enters as |u0|; without one,
-    or when its weighted mass is not positive, the seed cone is used. The
+    or when its weighted mass is not positive, the seed cone is used; a
+    ``u0`` or ``C`` on another grid than ``w``'s is a ValueError. The
     field is normalized to unit weighted p-mass.
     """
     _check_p(p)
+    for name, f in (("u0", u0), ("C", C)):
+        if f is not None and f.grid != w.grid:
+            raise ValueError(f"{name} grid {f.grid} is not the weight's grid "
+                             f"{w.grid}")
     if C is not None and np.any(C.u[w.mask.inside] <= 0):
         raise ValueError("zero-order coefficient must be positive on inside nodes")
     opts = opts or SolverOpts()
@@ -394,13 +417,12 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     log_h = math.log(h)
     m = w.m[inside]
     c_in = None if C is None else C.u[inside]
-    u = np.zeros(inside.shape)
     stiff = _Stiffness(inside)  # A(u) and H0 at the current iterate
 
     def evaluate(x):
         """One pass at x >= 0: (log lambda, log G, cache), or None when the
         weighted mass is not positive. With M = max x, t = x / M and the
-        cell differences ux, uy (not divided by h), gn = (ux^2 + uy^2) /
+        band cell differences ux, uy (not divided by h), gn = (ux^2 + uy^2) /
         max(ux^2 + uy^2); the cache keeps t^(p-1) and gn^(p/2-1), from which
         the p-th powers of the sums are one product away."""
         M = x.max()
@@ -412,9 +434,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         sm = float(m @ r)
         if sm <= 0.0:
             return None
-        u[inside] = x
-        ux = u[1:, :-1] - u[:-1, :-1]
-        uy = u[:-1, 1:] - u[:-1, :-1]
+        ux, uy = stiff.differences(x)
         gn = ux * ux + uy * uy
         gmax = gn.max()  # > 0: the outside collar is zero and M > 0
         gn /= gmax
@@ -512,6 +532,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             memory.push(s, y)
         x, g = xt, gt
 
+    u = np.zeros(inside.shape)
     u[inside] = x
     u *= math.exp(-logG / p)
     return EigenResult(p=p, lam=math.exp(loglam) if loglam < 700 else math.inf,

@@ -7,9 +7,9 @@ import scipy.sparse.linalg as spla
 
 from conftest import (disk_setup, example1_weight, example2_weight,
                       uniform_weight)
-from infeig import (Disk, Grid, ScalarField, SolverOpts, cone_field,
-                    dirichlet_energy_p, edt, eigen, mu1, negate, rasterize,
-                    regions_weight, solve_lambda1, sweep,
+from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
+                    cone_field, dirichlet_energy_p, edt, eigen, mu1, negate,
+                    rasterize, regions_weight, solve_lambda1, sweep,
                     two_cone_upper_bound, weighted_mass_p)
 from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _power, _Stiffness,
                           _underflow_cut, cone_rayleigh_root,
@@ -290,6 +290,42 @@ class TestSolver:
         assert res.converged
         assert res.lam == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("a,b,nx,ny", [(17, 9, 23, 14), (9, 17, 14, 23)])
+    def test_block_matches_closed_form(self, a, b, nx, ny):
+        # an a x b block of inside nodes on a non-square grid: at p = 2 the
+        # cell energy is the 5-point form, whose first Dirichlet eigenvalue
+        # is (4/h^2)(sin^2(pi/(2(a+1))) + sin^2(pi/(2(b+1)))); a row stride
+        # of nx in place of ny cannot reproduce it
+        h = 0.1
+        grid = Grid(nx, ny, h)
+        inside = np.zeros((nx, ny), dtype=bool)
+        inside[2:2 + a, 3:3 + b] = True
+        w = uniform_weight(grid, DomainMask(grid, inside))
+        exact = 4 / h ** 2 * (math.sin(math.pi / (2 * (a + 1))) ** 2
+                              + math.sin(math.pi / (2 * (b + 1))) ** 2)
+        # tol 1e-9 is below the floating-point floor: it ends on line_search
+        res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-9))
+        assert res.lam == pytest.approx(exact, rel=1e-13, abs=0.0)
+        res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-6))
+        assert res.converged and res.stop == "tol"
+        assert res.lam == pytest.approx(exact, rel=1e-12, abs=0.0)
+        res = solve_lambda1(w, 8.0)
+        assert res.converged
+        assert res.lambda_root == pytest.approx(
+            rayleigh(res.field, w, 8.0) ** (1 / 8), rel=1e-12, abs=0.0)
+
+    def test_rejects_fields_on_another_grid(self):
+        grid, mask, dist = disk_setup(1 / 8)
+        w = uniform_weight(grid, mask)
+        wider = Grid(grid.nx + 1, grid.ny, grid.h, grid.origin)
+        finer = Grid(grid.nx, grid.ny, grid.h / 2, grid.origin)
+        for other in (wider, finer):
+            f = ScalarField(other, np.ones(other.shape))
+            with pytest.raises(ValueError, match="u0 grid .* is not"):
+                solve_lambda1(w, 4.0, dist=dist, u0=f)
+            with pytest.raises(ValueError, match="C grid .* is not"):
+                solve_lambda1(w, 4.0, C=f, dist=dist)
+
     @pytest.mark.parametrize("case,p", [("uniform", 4.0), ("example1", 6.0),
                                         ("zero_order", 4.0)])
     def test_converged_certifies_kkt(self, case, p):
@@ -474,73 +510,149 @@ def two_loop_reference(g, pairs, free, H0):
     return d
 
 
-def random_stiffness(rng, decades):
-    """(stiffness, pg) on the h = 1/10 disk's inside nodes, pg log-uniform
-    over the given number of decades per cell."""
-    _, mask, _ = disk_setup(0.1)
-    inside = mask.inside
+def band_layout(inside):
+    """(lo, L) of the solver's flat band, from the inside nodes' row-major
+    numbers: it starts one row before the first inside node and ends one
+    row after the last, and holds L = hi - lo - ny cells."""
+    nx, ny = inside.shape
+    nodes = [i * ny + j for i in range(nx) for j in range(ny) if inside[i, j]]
+    lo, hi = nodes[0] - ny, nodes[-1] + ny + 1
+    return lo, hi - lo - ny
+
+
+def to_band(pg, inside, fill):
+    """The band cell array of the 2-D cell values pg: cell (i, j) goes to
+    i * ny + j - lo, and the band cells that are no 2-D cell (based in the
+    last column) keep the values of ``fill``."""
+    lo, L = band_layout(inside)
+    ny = inside.shape[1]
+    band = np.array(fill, dtype=float)
+    assert band.shape == (L,)
+    for i in range(pg.shape[0]):
+        for j in range(pg.shape[1]):
+            if 0 <= i * ny + j - lo < L:
+                band[i * ny + j - lo] = pg[i, j]
+    return band
+
+
+def disk_inside():
+    return disk_setup(0.1)[1].inside
+
+
+def offset_inside():
+    """Off-centre ellipse on a 15 x 10 grid: nx != ny, so a row stride of
+    nx in place of ny cannot pass."""
+    i, j = np.mgrid[:15, :10]
+    inside = (i - 8.5) ** 2 / 20 + (j - 3.7) ** 2 / 6 < 1
+    assert not (inside[[0, -1]].any() or inside[:, [0, -1]].any())
+    return inside
+
+
+def random_stiffness(rng, decades, inside):
+    """(stiffness, pg) on the inside nodes, pg log-uniform over the given
+    number of decades on every 2-D cell, also those with no inside corner,
+    and random on the band's wrap cells, which must change nothing."""
     pg = 10.0 ** rng.uniform(-decades, 0.0, (inside.shape[0] - 1,
                                              inside.shape[1] - 1))
     stiff = _Stiffness(inside)
-    stiff.update(pg)
+    stiff.update(to_band(pg, inside, rng.random(band_layout(inside)[1])))
     return stiff, pg
+
+
+def check_gram_direction(rng, inside, bound_share):
+    """_Memory.direction against the dense two-loop oracle, through a wrap
+    of the ring, a pair with s . y <= 0 on the free set and a single pair."""
+    stiff, pg = random_stiffness(rng, 3.0, inside)
+    H0, D = dense_h0(pg, inside)
+    assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
+    n = D.size
+    free = rng.random(n) >= bound_share
+    pairs = []
+    for k in range(_MEMORY + 3):  # wraps the ring
+        s = rng.standard_normal(n)
+        y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+        if k == 7:
+            # s . y < 0 on the free set (and overall when all are free)
+            y = np.where(free, -s, 50.0 * s)
+        pairs.append((s, y))
+    if bound_share:
+        s, y = pairs[7]
+        assert s @ y > 0.0 and s[free] @ y[free] <= 0.0
+    mem = _Memory(n)
+    for s, y in pairs:
+        mem.push(s, y)
+    assert len(mem) == _MEMORY
+
+    def check(g, pairs):
+        d = mem.direction(g, free, stiff)
+        ref = two_loop_reference(g, pairs, free, H0)
+        assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
+        assert (d[~free] == 0.0).all()
+
+    for _ in range(3):
+        check(rng.standard_normal(n), pairs[-_MEMORY:])
+    mem.clear()
+    mem.push(*pairs[0])
+    check(rng.standard_normal(n), pairs[:1])
+
+
+def check_h0(rng, inside, decades, bound_share):
+    """stiff.h0 column by column against the dense H0 on a random free
+    set, zero off it, symmetric and >= 0.2 D there."""
+    stiff, pg = random_stiffness(rng, decades, inside)
+    ref, D = dense_h0(pg, inside)
+    free = rng.random(D.size) >= bound_share
+    assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
+    Dfree = np.where(free, stiff.D, 0.0)
+    H0 = np.column_stack([stiff.h0(e, Dfree) for e in np.eye(D.size)])
+    assert (H0[~free] == 0.0).all() and (H0[:, ~free] == 0.0).all()
+    H0 = H0[np.ix_(free, free)]
+    scale = np.abs(H0).max()
+    assert np.abs(H0 - ref[np.ix_(free, free)]).max() <= 1e-12 * scale
+    assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(H0).min() >= 0.2 * D[free].min()
+    scaled = H0 / np.sqrt(np.outer(D[free], D[free]))
+    assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
 
 
 class TestLbfgsMemory:
     @pytest.mark.parametrize("bound_share", [0.0, 0.1])
     def test_gram_direction_matches_two_loop(self, bound_share):
-        rng = np.random.default_rng(23)
-        stiff, pg = random_stiffness(rng, 3.0)
-        H0, D = dense_h0(pg, stiff.inside)
-        assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
-        n = D.size
-        free = rng.random(n) >= bound_share
-        pairs = []
-        for k in range(_MEMORY + 3):  # wraps the ring
-            s = rng.standard_normal(n)
-            y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
-            if k == 7:
-                # s . y < 0 on the free set (and overall when all are free)
-                y = np.where(free, -s, 50.0 * s)
-            pairs.append((s, y))
-        if bound_share:
-            s, y = pairs[7]
-            assert s @ y > 0.0 and s[free] @ y[free] <= 0.0
-        mem = _Memory(n)
-        for s, y in pairs:
-            mem.push(s, y)
-        assert len(mem) == _MEMORY
-
-        def check(g, pairs):
-            d = mem.direction(g, free, stiff)
-            ref = two_loop_reference(g, pairs, free, H0)
-            assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
-            assert (d[~free] == 0.0).all()
-
-        for _ in range(3):
-            check(rng.standard_normal(n), pairs[-_MEMORY:])
-        mem.clear()
-        mem.push(*pairs[0])
-        check(rng.standard_normal(n), pairs[:1])
+        check_gram_direction(np.random.default_rng(23), disk_inside(),
+                             bound_share)
 
     def test_h0_positive_definite_on_free_set(self):
         # D A has its spectrum in [0, 2] on every principal submatrix
         # (Gershgorin), so H0 >= 0.2 D whatever the contrast of pg
-        rng = np.random.default_rng(5)
-        stiff, pg = random_stiffness(rng, 10.0)
-        ref, D = dense_h0(pg, stiff.inside)
-        free = rng.random(D.size) >= 0.2
-        assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
-        Dfree = np.where(free, stiff.D, 0.0)
-        H0 = np.column_stack([stiff.h0(e, Dfree) for e in np.eye(D.size)])
-        assert (H0[~free] == 0.0).all() and (H0[:, ~free] == 0.0).all()
-        H0 = H0[np.ix_(free, free)]
-        scale = np.abs(H0).max()
-        assert np.abs(H0 - ref[np.ix_(free, free)]).max() <= 1e-12 * scale
-        assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
-        assert np.linalg.eigvalsh(H0).min() >= 0.2 * D[free].min()
-        scaled = H0 / np.sqrt(np.outer(D[free], D[free]))
-        assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
+        check_h0(np.random.default_rng(5), disk_inside(), 10.0, 0.2)
+
+    def test_nonsquare_offset_mask_matches_dense(self):
+        rng = np.random.default_rng(37)
+        check_gram_direction(rng, offset_inside(), 0.1)
+        check_h0(rng, offset_inside(), 10.0, 0.2)
+
+    @pytest.mark.parametrize("make_inside", [disk_inside, offset_inside])
+    def test_cells_without_inside_corner_change_nothing(self, make_inside):
+        # random pg on the wrap column and on the cells with no inside
+        # corner, against zero there: D, H0 and y . H0 y bit for bit
+        rng = np.random.default_rng(41)
+        inside = make_inside()
+        L = band_layout(inside)[1]
+        pg = 10.0 ** rng.uniform(-3.0, 0.0, (inside.shape[0] - 1,
+                                             inside.shape[1] - 1))
+        touched = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:]
+        assert not touched.all()
+        junk, clean = _Stiffness(inside), _Stiffness(inside)
+        junk.update(to_band(pg, inside, 10.0 ** rng.uniform(-3.0, 3.0, L)))
+        clean.update(to_band(np.where(touched, pg, 0.0), inside,
+                             np.zeros(L)))
+        assert np.array_equal(junk.D, clean.D)
+        n = junk.D.size
+        for free_share in (1.0, 0.7):
+            D = np.where(rng.random(n) < free_share, junk.D, 0.0)
+            q = rng.standard_normal(n)
+            assert np.array_equal(junk.h0(q, D), clean.h0(q, D))
+            assert junk.h0_quad(q, D) == clean.h0_quad(q, D)
 
 
 class TestTwoConeBound:

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -86,7 +86,9 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
             f"field grid {grid.nx}x{grid.ny} (h={grid.h}) does not match "
             f"config grid {cfg.grid.nx}x{cfg.grid.ny} (h={cfg.grid.h})")
     u = ScalarField(cfg.grid, np.where(mask.inside, values, 0.0))
-    report = viscosity.check(u, lam, w, cfg.viscosity)
+    # the residuals see the field zeroed outside, boundary_max the file's
+    report = replace(viscosity.check(u, lam, w, cfg.viscosity),
+                     boundary_max=float(np.abs(values[~mask.inside]).max()))
     _write_json(f"{prefix}_check.json", report.to_record())
     for name in ("pos", "neg", "zero"):
         print(f"{name}: nodes={report.counts[name]} "

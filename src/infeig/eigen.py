@@ -2,13 +2,18 @@
 
 Energy uses per-cell forward differences from each cell's base corner, so
 both the energy and the mass have exact analytic gradients. The principal
-eigenvalue is found by projected L-BFGS on log E - log G over nonnegative
-fields. Its initial Hessian is one degree-1 Chebyshev-Jacobi step on the
-lagged-diffusivity (Kacanov) stiffness A(u), H0 = D - 0.4 D A D with
-D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
-the iteration count; a solve is converged only when its relative KKT
-residual is below the tolerance, and the returned field has unit weighted
-p-mass. All p-th roots and normalizations go through log space so p = 64
+eigenvalue is found by L-BFGS on log E - log G over nonnegative fields,
+kept nonnegative by the projected line search max(x + tau d, 0). No bound
+is ever active: at a zero node the mass and C parts of the gradient carry
+t^(p-1) = 0 and every energy cell term is -pg (ux + uy) with ux, uy >= 0
+or pg (0 - x_base) with x_base >= 0, so the gradient there is a sum of
+nonpositive terms, and an L-BFGS-B free set would hold every node; the
+solver keeps none. Its initial Hessian is one degree-1 Chebyshev-Jacobi
+step on the lagged-diffusivity (Kacanov) stiffness A(u),
+H0 = D - 0.4 D A D with D = 1 / diag A, so the contrast of |grad u|^(p-2)
+at large p does not set the iteration count; a solve is converged only
+when its relative KKT residual is below the tolerance, and the returned
+field has unit weighted p-mass. All p-th roots and normalizations go through log space so p = 64
 stays finite in doubles, and every power of a nonnegative array goes
 through ``_power``, which flushes results below the smallest normal double
 to exactly 0: at large p most bases are zero or underflow, numpy's pow is
@@ -34,7 +39,7 @@ from operator import mul
 import numpy as np
 
 from .errors import NoNegativeRegionError, SeedMassError
-from .geometry import cone_field, r_plus, two_cone_field
+from .geometry import cone_field, lambda1_limit, r_plus, two_cone_field
 from .grid import DistanceField, ScalarField, edt
 from .weight import WeightField, negate
 
@@ -240,9 +245,9 @@ class _Stiffness:
     form is v . A v = sum over cells of pg ((dx v)^2 + (dy v)^2), with dx, dy
     the differences from each cell's base corner and v zero outside, and
     D = 1 / diag A floored at _EPS_D of its max. By Gershgorin the spectrum
-    of D A lies in [0, 2], on every principal submatrix too, so on any free
-    set H0 >= (1 - 2 _CHEB) D. ``update`` moves it to the pg of a new
-    iterate.
+    of D A lies in [0, 2], so H0 >= (1 - 2 _CHEB) D on all inside nodes.
+    ``update`` moves it to the pg of a new iterate; ``h0`` and ``h0_quad``
+    read its D.
 
     Every cell array lives on one flat band of the row-major grid: nodes
     [lo, hi) from one row before the first inside node to one row after the
@@ -292,15 +297,14 @@ class _Stiffness:
         nodes[self.band_inside] = v
         return nodes[self.ny:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
-    def h0(self, q: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """H0 q, with D zero off the free set: the free-set block of H0
-        applied to q there, zero elsewhere."""
-        v = D * q
-        return v - (_CHEB * D) * self.matvec(*self.differences(v))
+    def h0(self, q: np.ndarray) -> np.ndarray:
+        """H0 q."""
+        v = self.D * q
+        return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
 
-    def h0_quad(self, y: np.ndarray, D: np.ndarray) -> float:
-        """y . H0 y over the free set, D zero off it; no scatter."""
-        v = D * y
+    def h0_quad(self, y: np.ndarray) -> float:
+        """y . H0 y, with no scatter."""
+        v = self.D * y
         vx, vy = self.differences(v)
         return float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
 
@@ -332,24 +336,12 @@ class _Memory:
         self.SY[:, slot] = self.S @ y
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, free: np.ndarray,
-                  stiff: _Stiffness) -> np.ndarray:
+    def direction(self, g: np.ndarray, stiff: _Stiffness) -> np.ndarray:
         """-H g by the two-loop recursion over the stored pairs with the
-        initial Hessian gamma H0 of ``stiff``, every vector restricted to
-        the free variables; zero on the bound ones. Pairs with s . y <= 0 on
-        the free set are skipped, and gamma = s . y / y . H0 y of the newest
-        kept pair."""
-        SY = self.SY
-        D = stiff.D
-        bound = ~free
-        has_bound = bound.any()
-        if has_bound:
-            # free-set Gram = full Gram minus the bound columns' products
-            SY = SY - self.S[:, bound] @ self.Y[:, bound].T
-            g = np.where(free, g, 0.0)
-            D = np.where(free, D, 0.0)
+        initial Hessian gamma H0 of ``stiff``. Pairs with s . y <= 0 are
+        skipped, and gamma = s . y / y . H0 y of the newest kept pair."""
         sg = (self.S @ g).tolist()
-        sy, ys = SY.tolist(), SY.T.tolist()
+        sy, ys = self.SY.tolist(), self.SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
         # -d = r + c S with r = gamma H0 (g - a Y): a_i = s_i . q / s_i . y_i
         # newest first, then c_i = a_i - y_i . (r + c S) / s_i . y_i oldest
@@ -360,17 +352,14 @@ class _Memory:
         gamma = 1.0
         if hist:
             new = hist[-1]
-            gamma = sy[new][new] / stiff.h0_quad(self.Y[new], D)
-        r = stiff.h0(g - np.array(a) @ self.Y, D)
+            gamma = sy[new][new] / stiff.h0_quad(self.Y[new])
+        r = stiff.h0(g - np.array(a) @ self.Y)
         r *= gamma
         yr = (self.Y @ r).tolist()
         c = [0.0] * _MEMORY
         for i in hist:
             c[i] = a[i] - (yr[i] + sum(map(mul, c, ys[i]))) / sy[i][i]
-        d = -(r + np.array(c) @ self.S)
-        if has_bound:
-            d[bound] = 0.0
-        return d
+        return -(r + np.array(c) @ self.S)
 
 
 def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
@@ -378,14 +367,15 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
                   dist: DistanceField | None = None,
                   u0: ScalarField | None = None,
                   callback=None) -> EigenResult:
-    """Principal eigenpair by projected L-BFGS on f = log E - log G over
-    nonnegative inside values (Byrd-Lu-Nocedal-Zhu 1995, without the
-    Cauchy point).
+    """Principal eigenpair by L-BFGS on f = log E - log G over nonnegative
+    inside values, with a projected line search.
 
-    The direction is the two-loop recursion on the free variables (not
-    u = 0 with df > 0), run on the Gram matrix of the stored pairs around one
-    application of the initial Hessian gamma H0 (Nocedal-Wright 7.2):
-    H0 = D - _CHEB D A D on the free set, A = A(u) the cell stiffness at the
+    The direction is the two-loop recursion on all inside nodes: the
+    iterates stay nonnegative and df <= 0 wherever u = 0 (module
+    docstring), so no bound constraint is active and no free set is kept.
+    It runs on the Gram matrix of the stored pairs around one application
+    of the initial Hessian gamma H0 (Nocedal-Wright 7.2):
+    H0 = D - _CHEB D A D, A = A(u) the cell stiffness at the
     current iterate weighted by the lagged diffusivity |grad u|^(p-2) and
     D = 1 / diag A floored at ``_EPS_D`` of its max (``_Stiffness``). It is
     reset to -D df when it is not a descent direction. The line search
@@ -394,9 +384,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     step (one iteration, one ``callback(loglam)``) strictly decreases
     lambda. Each trial is evaluated in one pass that keeps its powers, and
     the gradient at an accepted trial reuses them. ``converged`` certifies
-    stationarity: the relative KKT residual max|P(dE - lam dG)| / max|dE|
-    over inside nodes, with P dropping positive components where u = 0, is
-    at most ``opts.tol``. ``stop`` says why the solve ended: "tol",
+    stationarity: the relative KKT residual max|dE - lam dG| / max|dE|
+    over inside nodes is at most ``opts.tol``. It equals the projected
+    residual, as df has no positive component where u = 0. ``stop`` says why the solve ended: "tol",
     "max_iter", "line_search" (no trial decreases lambda, the floating-point
     floor) or "nonfinite". A warm start ``u0`` enters as |u0|; without one,
     or when its weighted mass is not positive, the seed cone is used; a
@@ -467,7 +457,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             if C is not None:
                 gE += (np.exp(log_km - log_kg) * c_in) * tp1
             r = gE - (np.exp(log_km - log_kg + loglam) * m) * tp1
-            kkt = np.abs(np.where((x == 0.0) & (r > 0.0), 0.0, r)).max()
+            kkt = np.abs(r).max()
             r *= np.exp(log_kg + log_c - loglam)
             return r, float(kkt / np.abs(gE).max())
 
@@ -506,17 +496,16 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if it >= opts.max_iter:
             stop = "max_iter"
             break
-        free = ~((x == 0.0) & (g > 0.0))
         step = None
         if memory:
-            d = memory.direction(g, free, stiff)
+            d = memory.direction(g, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
             # no memory, no descent direction or no decrease along it:
             # restart along -D df with a first step of 1% of max u
             memory.clear()
-            d = np.where(free, -stiff.D * g, 0.0)
+            d = -stiff.D * g
             step = line_search(x, g, d, loglam,
                                0.01 * x.max() / np.abs(d).max())
         if step is None:
@@ -594,7 +583,7 @@ def sweep(w: WeightField, p_list, C: ScalarField | None = None,
     if dist is None:
         dist = edt(w.mask)
     rp, _ = r_plus(dist, w.plus)
-    target = max(1.0 / rp, 1.0) if C is not None else 1.0 / rp
+    target = lambda1_limit(rp, zero_order=C is not None)
     records, fields, prev = [], [], None
     for p in p_list:
         res = solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev)

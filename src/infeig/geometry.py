@@ -201,6 +201,11 @@ def two_cone_field(alpha: float, beta: float, c1, c2, radius: float,
     return ScalarField(grid, alpha * u1 + beta * u2)
 
 
+def lambda1_limit(rp: float, zero_order: bool = False) -> float:
+    """lambda1_inf = 1 / R+, or max{1 / R+, 1} with a zero-order term."""
+    return max(1.0 / rp, 1.0) if zero_order else 1.0 / rp
+
+
 def compute_limits(dist: DistanceField, w: WeightField) -> GeoLimits:
     """All scalar limit quantities derived from the domain geometry and the
     sign partition of the weight; R2+ is the exact k = 2 packing."""
@@ -213,8 +218,8 @@ def compute_limits(dist: DistanceField, w: WeightField) -> GeoLimits:
         r_minus=rm,
         r2_plus=p2.radius,
         centers2=p2.centers,
-        lambda1_inf=1.0 / rp,
+        lambda1_inf=lambda1_limit(rp),
         lambda2_inf=1.0 / p2.radius,
         mu1_inf=None if rm is None else -1.0 / rm,
-        lambda1_inf_C=max(1.0 / rp, 1.0),
+        lambda1_inf_C=lambda1_limit(rp, zero_order=True),
     )

@@ -288,6 +288,29 @@ class TestCommands:
         assert rec["counts"]["pos"] == 0 and rec["counts"]["neg"] == 0
         assert rec["max_residual"]["zero"] == 0.0
 
+    def test_check_boundary_max_reads_the_file(self, tmp_path):
+        # a 33 x 33 field equal to 7 everywhere: boundary_max is the largest
+        # |value| the file holds outside the domain, while the residuals
+        # see the field zeroed there, as for the masked file
+        path, raw = disk_config(tmp_path, h=1 / 14)
+        cfg = parse_config(raw)
+        grid, inside = cfg.grid, cfg.build_mask().inside
+        assert grid.shape == (33, 33)
+        recs = []
+        for name, vals in (("full", np.full(grid.shape, 7.0)),
+                           ("masked", np.where(inside, 7.0, 0.0))):
+            fpath = tmp_path / f"{name}.csv"
+            fieldio.save_array(fpath, grid, vals, "scalar")
+            assert cli.main(["check", "--config", str(path), "--field",
+                             str(fpath), "--lam", "1.0", "--out",
+                             str(tmp_path / name)]) == 0
+            recs.append(json.loads(
+                (tmp_path / f"{name}_check.json").read_text()))
+        full, masked = recs
+        assert full.pop("boundary_max") == 7.0
+        assert masked.pop("boundary_max") == 0.0
+        assert full == masked
+
     def test_pack_output(self, tmp_path):
         path, _ = disk_config(tmp_path)
         assert cli.main(["pack", "--config", str(path), "--k", "2"]) == 0

@@ -8,9 +8,9 @@ import scipy.sparse.linalg as spla
 from conftest import (disk_setup, example1_weight, example2_weight,
                       uniform_weight)
 from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
-                    cone_field, dirichlet_energy_p, edt, eigen, mu1, negate,
-                    rasterize, regions_weight, solve_lambda1, sweep,
-                    two_cone_upper_bound, weighted_mass_p)
+                    WeightField, cone_field, dirichlet_energy_p, edt, eigen,
+                    mu1, negate, rasterize, regions_weight, solve_lambda1,
+                    sweep, two_cone_upper_bound, weighted_mass_p)
 from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _power, _Stiffness,
                           _underflow_cut, cone_rayleigh_root,
                           dirichlet_energy_grad, rayleigh, seed_cone,
@@ -255,6 +255,44 @@ class TestGradients:
                   - dirichlet_energy_p(ScalarField(grid, um), 3.0, Cf)[0]) / (2 * eps)
             assert g[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-10)
 
+    @pytest.mark.parametrize("zero_order", [False, True])
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 16.0, 64.0])
+    def test_no_positive_component_at_zero_nodes(self, p, zero_order):
+        # the solver keeps no bound set because of this: on a nonnegative
+        # field the gradient of E is <= 0 at every zero node (each cell term
+        # there is -pg (ux + uy) with ux, uy >= 0, or pg (0 - u_base)), and
+        # the mass and C parts carry 0^(p-1) = 0; a floating-point sum of
+        # nonpositive terms is never positive
+        rng = np.random.default_rng(int(p) + 100 * zero_order)
+        grid, mask, _ = disk_setup(1 / 10)
+        shape = grid.shape
+        Cf = (ScalarField(grid, 10.0 ** rng.uniform(-1.0, 1.0, shape))
+              if zero_order else None)
+        for _ in range(20):
+            m = rng.standard_normal(shape)
+            w = WeightField(grid, mask, m)
+            assert w.sign_changing
+            # magnitudes over eight decades, a few underflowing ones, and
+            # 30-70 % of the inside nodes exactly zero
+            vals = 10.0 ** rng.uniform(-8.0, 0.0, shape)
+            tiny = rng.random(shape) < 0.05
+            vals[tiny] = 10.0 ** rng.uniform(-300.0, -100.0, tiny.sum())
+            nodes = np.flatnonzero(mask.inside)
+            off = rng.choice(nodes, int(rng.uniform(0.3, 0.7) * nodes.size),
+                             replace=False)
+            vals.flat[off] = 0.0
+            vals[~mask.inside] = 0.0
+            u = ScalarField(grid, vals)
+            zero = vals == 0.0
+            gE = dirichlet_energy_grad(u, p)
+            assert (gE[zero] <= 0.0).all()
+            assert (gE[zero] < 0.0).any()
+            assert (weighted_mass_grad(u, w, p)[zero] == 0.0).all()
+            if zero_order:
+                # the C term leaves every zero node's component as it was
+                gC = dirichlet_energy_grad(u, p, Cf)
+                assert np.array_equal(gC[zero], gE[zero])
+
 
 class TestRayleigh:
     def test_zero_homogeneity(self):
@@ -351,6 +389,37 @@ class TestSolver:
              if zero_order else None)
         res = solve_lambda1(w, p, C=C, opts=SolverOpts(max_iter=40), dist=dist)
         assert res.residual == pytest.approx(projected_kkt(res, w, C), rel=1e-6)
+
+    @pytest.mark.parametrize("zero_order", [False, True])
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 5])
+    @pytest.mark.parametrize("spikes", [False, True])
+    def test_zero_nodes_leave_kkt_unprojected(self, spikes, max_iter,
+                                              zero_order):
+        # from a small off-centre ball most inside nodes start at zero;
+        # with spikes on 10 % of the nodes the line search also clips
+        # nodes to zero by the fifth step. The projection in the KKT
+        # residual drops nothing, so the plain residual is the projected one
+        grid, mask, dist = disk_setup(1 / 24)
+        w = example1_weight(grid, mask, delta=0.4)
+        C = (ScalarField(grid, np.full(grid.shape, 1.0)) if zero_order
+             else None)
+        u0 = cone_field((grid.nx // 2 + 5, grid.ny // 2 - 3), 0.15, grid)
+        if spikes:
+            rng = np.random.default_rng(3)
+            u0 = ScalarField(grid, u0.u + 0.02 * (rng.random(grid.shape) < 0.1))
+        res = solve_lambda1(w, 8.0, C=C, opts=SolverOpts(max_iter=max_iter),
+                            dist=dist, u0=u0)
+        assert res.iterations == max_iter
+        assert (res.field.u >= 0.0).all()
+        inside = mask.inside
+        zero = res.field.u == 0.0
+        assert zero[inside].sum() >= (0.05 if spikes else 0.9) * inside.sum()
+        gE = dirichlet_energy_grad(res.field, res.p, C)
+        r = gE - res.lam * weighted_mass_grad(res.field, w, res.p)
+        assert (r[zero] <= 0.0).all()
+        plain = np.abs(r[inside]).max() / np.abs(gE[inside]).max()
+        assert projected_kkt(res, w, C) == plain
+        assert res.residual == pytest.approx(plain, rel=1e-6)
 
     def test_stall_is_not_converged(self):
         # tol 1e-12 lies below the floating-point floor of the residual
@@ -481,15 +550,13 @@ def dense_h0(pg, inside):
     return np.diag(D) - 0.4 * D[:, None] * A * D[None, :], D
 
 
-def two_loop_reference(g, pairs, free, H0):
+def two_loop_reference(g, pairs, H0):
     """-H g by the textbook two-loop recursion over (s, y) pairs (oldest
     first) with the dense initial Hessian gamma H0, gamma = s . y / y . H0 y
-    of the newest kept pair, restricted to the free variables; pairs with
-    s . y <= 0 there are skipped."""
-    q, H0 = g[free], H0[np.ix_(free, free)]
+    of the newest kept pair; pairs with s . y <= 0 are skipped."""
+    q = g
     hist = []
     for s, y in pairs:
-        s, y = s[free], y[free]
         sy = s @ y
         if sy > 0.0:
             hist.append((s, y, sy))
@@ -505,9 +572,7 @@ def two_loop_reference(g, pairs, free, H0):
     q = gamma * (H0 @ q)
     for (s, y, sy), a in zip(hist, reversed(alphas)):
         q = q + (a - (y @ q) / sy) * s
-    d = np.zeros_like(g)
-    d[free] = -q
-    return d
+    return -q
 
 
 def band_layout(inside):
@@ -559,35 +624,29 @@ def random_stiffness(rng, decades, inside):
     return stiff, pg
 
 
-def check_gram_direction(rng, inside, bound_share):
+def check_gram_direction(rng, inside):
     """_Memory.direction against the dense two-loop oracle, through a wrap
-    of the ring, a pair with s . y <= 0 on the free set and a single pair."""
+    of the ring, a pair with s . y <= 0 and a single pair."""
     stiff, pg = random_stiffness(rng, 3.0, inside)
     H0, D = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
     n = D.size
-    free = rng.random(n) >= bound_share
     pairs = []
     for k in range(_MEMORY + 3):  # wraps the ring
         s = rng.standard_normal(n)
         y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
         if k == 7:
-            # s . y < 0 on the free set (and overall when all are free)
-            y = np.where(free, -s, 50.0 * s)
+            y = -s  # s . y < 0: skipped, though still in the ring
         pairs.append((s, y))
-    if bound_share:
-        s, y = pairs[7]
-        assert s @ y > 0.0 and s[free] @ y[free] <= 0.0
     mem = _Memory(n)
     for s, y in pairs:
         mem.push(s, y)
     assert len(mem) == _MEMORY
 
     def check(g, pairs):
-        d = mem.direction(g, free, stiff)
-        ref = two_loop_reference(g, pairs, free, H0)
+        d = mem.direction(g, stiff)
+        ref = two_loop_reference(g, pairs, H0)
         assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
-        assert (d[~free] == 0.0).all()
 
     for _ in range(3):
         check(rng.standard_normal(n), pairs[-_MEMORY:])
@@ -596,40 +655,36 @@ def check_gram_direction(rng, inside, bound_share):
     check(rng.standard_normal(n), pairs[:1])
 
 
-def check_h0(rng, inside, decades, bound_share):
-    """stiff.h0 column by column against the dense H0 on a random free
-    set, zero off it, symmetric and >= 0.2 D there."""
+def check_h0(rng, inside, decades):
+    """stiff.h0 column by column against the dense H0 on all inside nodes,
+    symmetric and >= 0.2 D."""
     stiff, pg = random_stiffness(rng, decades, inside)
     ref, D = dense_h0(pg, inside)
-    free = rng.random(D.size) >= bound_share
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
-    Dfree = np.where(free, stiff.D, 0.0)
-    H0 = np.column_stack([stiff.h0(e, Dfree) for e in np.eye(D.size)])
-    assert (H0[~free] == 0.0).all() and (H0[:, ~free] == 0.0).all()
-    H0 = H0[np.ix_(free, free)]
+    H0 = np.column_stack([stiff.h0(e) for e in np.eye(D.size)])
     scale = np.abs(H0).max()
-    assert np.abs(H0 - ref[np.ix_(free, free)]).max() <= 1e-12 * scale
+    assert np.abs(H0 - ref).max() <= 1e-12 * scale
     assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
-    assert np.linalg.eigvalsh(H0).min() >= 0.2 * D[free].min()
-    scaled = H0 / np.sqrt(np.outer(D[free], D[free]))
+    assert np.linalg.eigvalsh(H0).min() >= 0.2 * D.min()
+    scaled = H0 / np.sqrt(np.outer(D, D))
     assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
+    y = rng.standard_normal(D.size)
+    assert stiff.h0_quad(y) == pytest.approx(y @ ref @ y, rel=1e-12)
 
 
 class TestLbfgsMemory:
-    @pytest.mark.parametrize("bound_share", [0.0, 0.1])
-    def test_gram_direction_matches_two_loop(self, bound_share):
-        check_gram_direction(np.random.default_rng(23), disk_inside(),
-                             bound_share)
+    def test_gram_direction_matches_two_loop(self):
+        check_gram_direction(np.random.default_rng(23), disk_inside())
 
-    def test_h0_positive_definite_on_free_set(self):
-        # D A has its spectrum in [0, 2] on every principal submatrix
-        # (Gershgorin), so H0 >= 0.2 D whatever the contrast of pg
-        check_h0(np.random.default_rng(5), disk_inside(), 10.0, 0.2)
+    def test_h0_positive_definite(self):
+        # D A has its spectrum in [0, 2] (Gershgorin), so H0 >= 0.2 D
+        # whatever the contrast of pg
+        check_h0(np.random.default_rng(5), disk_inside(), 10.0)
 
     def test_nonsquare_offset_mask_matches_dense(self):
         rng = np.random.default_rng(37)
-        check_gram_direction(rng, offset_inside(), 0.1)
-        check_h0(rng, offset_inside(), 10.0, 0.2)
+        check_gram_direction(rng, offset_inside())
+        check_h0(rng, offset_inside(), 10.0)
 
     @pytest.mark.parametrize("make_inside", [disk_inside, offset_inside])
     def test_cells_without_inside_corner_change_nothing(self, make_inside):
@@ -647,12 +702,9 @@ class TestLbfgsMemory:
         clean.update(to_band(np.where(touched, pg, 0.0), inside,
                              np.zeros(L)))
         assert np.array_equal(junk.D, clean.D)
-        n = junk.D.size
-        for free_share in (1.0, 0.7):
-            D = np.where(rng.random(n) < free_share, junk.D, 0.0)
-            q = rng.standard_normal(n)
-            assert np.array_equal(junk.h0(q, D), clean.h0(q, D))
-            assert junk.h0_quad(q, D) == clean.h0_quad(q, D)
+        q = rng.standard_normal(junk.D.size)
+        assert np.array_equal(junk.h0(q), clean.h0(q))
+        assert junk.h0_quad(q) == clean.h0_quad(q)
 
 
 class TestTwoConeBound:

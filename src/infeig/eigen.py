@@ -8,16 +8,19 @@ is ever active: at a zero node the mass and C parts of the gradient carry
 t^(p-1) = 0 and every energy cell term is -pg (ux + uy) with ux, uy >= 0
 or pg (0 - x_base) with x_base >= 0, so the gradient there is a sum of
 nonpositive terms, and an L-BFGS-B free set would hold every node; the
-solver keeps none. Its initial Hessian is one degree-1 Chebyshev-Jacobi
-step on the lagged-diffusivity (Kacanov) stiffness A(u),
-H0 = D - 0.4 D A D with D = 1 / diag A, so the contrast of |grad u|^(p-2)
-at large p does not set the iteration count; a solve is converged only
-when its relative KKT residual is below the tolerance, and the returned
-field has unit weighted p-mass. All p-th roots and normalizations go through log space so p = 64
-stays finite in doubles, and every power of a nonnegative array goes
-through ``_power``, which flushes results below the smallest normal double
-to exactly 0: at large p most bases are zero or underflow, numpy's pow is
-slow on both, and a flushed term is below the last bit of any sum.
+solver keeps none. Its initial Hessian is two-level on the
+lagged-diffusivity (Kacanov) stiffness A(u): one degree-1
+Chebyshev-Jacobi step D - 0.4 D A D with D = 1 / diag A, so the contrast
+of |grad u|^(p-2) at large p does not set the iteration count, plus the
+Galerkin correction P (P^T A P)^-1 P^T from a grid 8 times coarser, so
+the count grows ~1.3x, not ~2.4x, per doubling of the grid. A solve is
+converged only when its relative KKT residual is below the tolerance,
+and the returned field has unit weighted p-mass. All p-th roots and
+normalizations go through log space so p = 64 stays finite in doubles,
+and every power of a nonnegative array goes through ``_power``, which
+flushes results below the smallest normal double to exactly 0: at large
+p most bases are zero or underflow, numpy's pow is slow on both, and a
+flushed term is below the last bit of any sum.
 
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
@@ -50,6 +53,9 @@ _CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV * y.y
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
                 # in D A for a Jacobi-scaled spectrum on [1/2, 2]
+_COARSE = 8     # node spacing of H0's coarse grid, in fine nodes
+_REFRESH = 15   # accepted iterations between builds of the coarse stiffness
+_FRINGE = 0.1   # largest share of a coarse hat's weight on floored nodes
 _SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -125,17 +131,18 @@ def _power(a: np.ndarray, e: float) -> np.ndarray:
 def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
     """(value, log) of h^2 * sum(coef * a^p) for a >= 0 (coef None means 1),
     by max rescaling so the log stays finite when the value overflows; log is
-    None when the sum is zero or negative."""
+    None when the sum is zero or negative. The value is +-inf once the log
+    of its magnitude reaches 700, whatever its sign."""
     M = a.max()
     if M == 0.0:
         return 0.0, None
     r = _power(a / M, p)
     s = float(np.sum(r if coef is None else coef * r))
-    if s <= 0.0:
-        # rescaled sum is O(N); the plain value is s * M^p * h^2
-        return s * math.exp(min(p * math.log(M) + 2 * math.log(h), 700)), None
-    log = 2 * math.log(h) + p * math.log(M) + math.log(s)
-    return (math.exp(log) if log < 700 else math.inf), log
+    if s == 0.0:
+        return 0.0, None
+    log = 2 * math.log(h) + p * math.log(M) + math.log(abs(s))
+    value = math.exp(log) if log < 700 else math.inf
+    return (value, log) if s > 0.0 else (-value, None)
 
 
 def _power_grad(u: np.ndarray, coef, p: float, h: float) -> np.ndarray:
@@ -239,15 +246,77 @@ def seed_cone(w: WeightField, p: float,
     raise SeedMassError("cannot seed positive mass")
 
 
+def _hats(n: int) -> np.ndarray:
+    """n x nc values of the 1-D bilinear hats of coarse nodes 0, f, 2f, ...
+    (f = _COARSE, the last at or past n - 1) on nodes 0 .. n - 1."""
+    nc = -(-(n - 1) // _COARSE) + 1
+    return np.maximum(
+        1.0 - np.abs(np.arange(n)[:, None] / _COARSE - np.arange(nc)), 0.0)
+
+
+def _invert_lower(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L, in place, by halves:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], in a third of
+    the work of a general inverse and with one quarter-size temporary."""
+    n = L.shape[0]
+    if n <= 64:
+        L[:] = np.linalg.inv(L)
+        return L
+    k = n // 2
+    A, B, C = _invert_lower(L[:k, :k]), L[k:, :k], _invert_lower(L[k:, k:])
+    np.matmul(C @ B, A, out=B)
+    B *= -1.0
+    return L
+
+
+def _hat_pairs(hats: np.ndarray):
+    """(pairs, Q, Dq) for the 1-D hat matrix h: the pairs k = (I, I') of
+    overlapping hats, |I - I'| <= 1, with Q[i, k] = h[i, I] h[i, I'] and
+    Dq[i, k] = h[i + 1, I] h[i, I'] + h[i, I] h[i + 1, I'] (h = 0 past the
+    last node)."""
+    nc = hats.shape[1]
+    pairs = np.array([(I, I + d) for I in range(nc) for d in (-1, 0, 1)
+                      if 0 <= I + d < nc])
+    a, b = hats[:, pairs[:, 0]], hats[:, pairs[:, 1]]
+    dq = a[1:] * b[:-1] + a[:-1] * b[1:]
+    return pairs, a * b, np.vstack([dq, np.zeros((1, len(pairs)))])
+
+
 class _Stiffness:
     """The lagged-diffusivity cell stiffness A(u) on the inside nodes and the
-    L-BFGS initial Hessian H0 = D - _CHEB D A D built on it. A's quadratic
-    form is v . A v = sum over cells of pg ((dx v)^2 + (dy v)^2), with dx, dy
-    the differences from each cell's base corner and v zero outside, and
-    D = 1 / diag A floored at _EPS_D of its max. By Gershgorin the spectrum
-    of D A lies in [0, 2], so H0 >= (1 - 2 _CHEB) D on all inside nodes.
-    ``update`` moves it to the pg of a new iterate; ``h0`` and ``h0_quad``
-    read its D.
+    two-level L-BFGS initial Hessian built on it,
+    H0 = D - _CHEB D A D + P Ac^-1 P^T with Ac = P^T Abar P.
+
+    A's quadratic form is v . A v = sum over cells of pg ((dx v)^2 +
+    (dy v)^2), with dx, dy the differences from each cell's base corner and
+    v zero outside, and D = 1 / diag A floored at _EPS_D of its max. By
+    Gershgorin the spectrum of D A lies in [0, 2], so the one-level part is
+    >= (1 - 2 _CHEB) D on all inside nodes; it smooths, but cannot remove
+    the h^-2 spread of A. The coarse term does (two-level additive subspace
+    correction, Xu, SIAM Review 1992), and being positive semidefinite it
+    keeps H0 >= 0.2 D.
+
+    The coarse nodes lie _COARSE fine nodes apart, anchored at the collar
+    row and column before the first inside node. P is never stored: on the
+    bounding box of the inside nodes (collar included) the bilinear
+    prolongation is the tensor product of the 1-D hat matrices px and py,
+    so P^T v = px^T V py and P z = px Z py^T at the inside nodes. Abar is
+    A with its diagonal floored as D floors it, which keeps Ac definite
+    where large p flushes pg to 0. P's columns are the hats of the active
+    coarse nodes: those whose hat covers inside nodes, at most a share
+    _FRINGE of its weight on floored ones. Where D is floored A is nearly
+    flat and Abar is its floor, so the coarse solve of a hat reaching far
+    there amplifies the correction by up to 1 / _EPS_D into the flat
+    region. With every hat, the boundary-strip iterates filled there with
+    values whose powers sit near underflow, and its sweep ran ~45 %
+    slower at about the same iteration count. Ac is assembled in three
+    matrix products (``_coarsen``) every ``_REFRESH`` calls to ``update``
+    and kept as W = L^-1 of its Cholesky factor L, so Ac^-1 = W^T W; with
+    no active node, or when the factorization fails, H0 is the one-level
+    part until the next build.
+    ``h0`` and ``h0_quad`` take a vector with its restriction P^T to every
+    coarse node whose hat covers an inside node, which the solver forms
+    once per gradient and keeps per pair.
 
     Every cell array lives on one flat band of the row-major grid: nodes
     [lo, hi) from one row before the first inside node to one row after the
@@ -257,7 +326,7 @@ class _Stiffness:
     an inside corner; the cells based in the last column wrap into the next
     row, but all their corners lie on the outside collar, so their
     differences are 0 and they scatter only to outside nodes, which the
-    gather drops. The two band buffers are reused."""
+    gather drops. The band and box buffers are reused."""
 
     def __init__(self, inside: np.ndarray):
         flat = np.flatnonzero(inside.ravel())
@@ -267,13 +336,98 @@ class _Stiffness:
         self.band_inside = inside.ravel()[lo:hi]
         self.nodes = np.zeros(hi - lo)  # zero outside the inside nodes
         self.cells = np.zeros(hi - lo)  # scatter buffer
-        self.pg = self.D = None
+        self.pg = self.D = self.W = None
+        self.updates = 0
+        # the box from collar to collar; its cell (i, j), based at box node
+        # (i, j), is grid cell flat (i + r0) ny + j + c0, band cell that - lo
+        rows = np.flatnonzero(inside.any(axis=1))
+        cols = np.flatnonzero(inside.any(axis=0))
+        r0, c0 = rows[0] - 1, cols[0] - 1
+        self.box_inside = inside[r0:rows[-1] + 2, c0:cols[-1] + 2]
+        bx, by = self.box_inside.shape
+        self.box = np.zeros((bx, by))  # zero outside
+        self.box_cells = (inside.shape, lo, r0, c0)
+        # edges with both ends inside, by their base node
+        both = self.box_inside[:-1] & self.box_inside[1:]
+        self.x_edges = np.vstack([both, np.zeros((1, by), bool)])
+        both = self.box_inside[:, :-1] & self.box_inside[:, 1:]
+        self.y_edges = np.hstack([both, np.zeros((bx, 1), bool)])
+        self.px, self.py = _hats(bx), _hats(by)
+        self.keep = self.px.T @ self.box_inside @ self.py > 0.0
+        self.nc = int(self.keep.sum())
+        self.coarse = np.zeros(self.keep.shape)  # zero at dropped nodes
+        self.weight = self.restrict(np.ones(flat.size))
+        # Ac[(I, J), (I', J')] = Ax[(I, I'), (J, J')] over the pairs of
+        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1
+        xpairs, self.qx, self.dx = _hat_pairs(self.px)
+        ypairs, self.qy, self.dy = _hat_pairs(self.py)
+        number = np.full(self.keep.shape, -1)
+        number[self.keep] = np.arange(self.nc)
+        row = number[xpairs[:, None, 0], ypairs[None, :, 0]]
+        col = number[xpairs[:, None, 1], ypairs[None, :, 1]]
+        entry = np.flatnonzero((row >= 0) & (col >= 0))
+        self.entries = row.ravel()[entry], col.ravel()[entry], entry
 
     def update(self, pg: np.ndarray) -> None:
         self.pg = pg
         # 2 pg of the node's own cell plus pg of its -x and -y cells
         diag = self._spread(2.0 * pg, pg, pg)
-        self.D = 1.0 / np.maximum(diag, _EPS_D * diag.max())
+        floored = np.maximum(diag, _EPS_D * diag.max())
+        self.D = 1.0 / floored
+        if self.updates % _REFRESH == 0:
+            self._coarsen(floored, floored > diag)
+        self.updates += 1
+
+    def _coarsen(self, floored: np.ndarray, lifted: np.ndarray) -> None:
+        """Build W from Ac on the active coarse nodes, those with at most
+        a share _FRINGE of their hat weight on ``lifted`` nodes. Abar's
+        diagonal is ``floored`` and its off-diagonal -pg on each edge with
+        both ends inside, so with Qx[i, (I, I')] = px[i, I] px[i, I'] and
+        Dx[i, (I, I')] = px[i + 1, I] px[i, I'] + px[i, I] px[i + 1, I']
+        (and Qy, Dy from py), the entry of P^T Abar P between hats (I, J)
+        and (I', J') is Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy -
+        Dx^T Ex Qy - Qx^T Ey Dy, where F is the floored diagonal and Ex, Ey
+        are pg on the x and y edges, all on the box. The old W goes first,
+        so at most two coarse matrices are alive at once."""
+        self.W = None
+        active = np.flatnonzero(self.restrict(lifted.astype(float))
+                                <= _FRINGE * self.weight)
+        if not active.size:
+            return
+        Ax = self._galerkin(floored)
+        number = np.full(self.nc, -1)
+        number[active] = np.arange(active.size)
+        rows, cols, entry = self.entries
+        rows, cols = number[rows], number[cols]
+        sub = (rows >= 0) & (cols >= 0)
+        Ac = np.zeros((active.size, active.size))
+        Ac[rows[sub], cols[sub]] = Ax.ravel()[entry[sub]]
+        try:
+            L = np.linalg.cholesky(Ac)
+        except np.linalg.LinAlgError:
+            return
+        del Ac
+        # W's columns run over every coarse node, zero off the active ones
+        self.W = np.zeros((active.size, self.nc))
+        self.W[:, active] = _invert_lower(L)
+
+    def _galerkin(self, floored: np.ndarray) -> np.ndarray:
+        """Ax of ``_coarsen``, in a call of its own so that its box-sized
+        temporaries are freed before Ac is allocated."""
+        shape, lo, r0, c0 = self.box_cells
+        grid_pg = np.zeros(shape)
+        grid_pg.ravel()[lo:lo + self.L] = self.pg
+        box_pg = grid_pg[r0:r0 + self.box.shape[0], c0:c0 + self.box.shape[1]]
+        ex = np.where(self.x_edges, box_pg, 0.0)
+        ey = np.where(self.y_edges, box_pg, 0.0)
+        self.box[self.box_inside] = floored
+        return ((self.qx.T @ self.box - self.dx.T @ ex) @ self.qy
+                - (self.qx.T @ ey) @ self.dy)
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:
+        """P^T v on the coarse nodes whose hat covers an inside node."""
+        self.box[self.box_inside] = v
+        return (self.px.T @ self.box @ self.py)[self.keep]
 
     def _spread(self, base, sx, sy) -> np.ndarray:
         """Inside values of the nodal sums of the band cell terms: base at
@@ -297,28 +451,38 @@ class _Stiffness:
         nodes[self.band_inside] = v
         return nodes[self.ny:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
-    def h0(self, q: np.ndarray) -> np.ndarray:
-        """H0 q."""
+    def h0(self, q: np.ndarray, qc: np.ndarray) -> np.ndarray:
+        """H0 q, with qc = P^T q."""
         v = self.D * q
-        return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
+        out = v - (_CHEB * self.D) * self.matvec(*self.differences(v))
+        if self.W is not None:
+            self.coarse[self.keep] = (self.W @ qc) @ self.W
+            out += (self.px @ self.coarse @ self.py.T)[self.box_inside]
+        return out
 
-    def h0_quad(self, y: np.ndarray) -> float:
-        """y . H0 y, with no scatter."""
+    def h0_quad(self, y: np.ndarray, yc: np.ndarray) -> float:
+        """y . H0 y, with yc = P^T y and no scatter."""
         v = self.D * y
         vx, vy = self.differences(v)
-        return float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
+        quad = float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
+        if self.W is not None:
+            wy = self.W @ yc
+            quad += float(wy @ wy)
+        return quad
 
 
 class _Memory:
     """The last ``_MEMORY`` curvature pairs (s, y), as rows of S and Y, with
     their Gram matrix SY[i, j] = s_i . y_j, so that both loops of the
     two-loop recursion run on m x m scalars around one application of the
-    initial Hessian. ``order`` lists the live slots oldest first; the other
-    rows hold zeros or old pairs and get zero coefficients."""
+    initial Hessian. Yc holds the restrictions P^T y of the pairs for the
+    coarse term of H0. ``order`` lists the live slots oldest first; the
+    other rows hold zeros or old pairs and get zero coefficients."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, nc: int):
         self.S = np.zeros((_MEMORY, n))
         self.Y = np.zeros((_MEMORY, n))
+        self.Yc = np.zeros((_MEMORY, nc))
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
 
@@ -328,18 +492,21 @@ class _Memory:
     def clear(self) -> None:
         self.order.clear()
 
-    def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        """Store a pair of finite vectors, replacing the oldest when full."""
+    def push(self, s: np.ndarray, y: np.ndarray, yc: np.ndarray) -> None:
+        """Store a pair of finite vectors with yc = P^T y, replacing the
+        oldest when full."""
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
-        self.S[slot], self.Y[slot] = s, y
+        self.S[slot], self.Y[slot], self.Yc[slot] = s, y, yc
         self.SY[slot, :] = self.Y @ s
         self.SY[:, slot] = self.S @ y
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, stiff: _Stiffness) -> np.ndarray:
-        """-H g by the two-loop recursion over the stored pairs with the
-        initial Hessian gamma H0 of ``stiff``. Pairs with s . y <= 0 are
-        skipped, and gamma = s . y / y . H0 y of the newest kept pair."""
+    def direction(self, g: np.ndarray, gc: np.ndarray,
+                  stiff: _Stiffness) -> np.ndarray:
+        """-H g, with gc = P^T g, by the two-loop recursion over the stored
+        pairs with the initial Hessian gamma H0 of ``stiff``. Pairs with
+        s . y <= 0 are skipped, and gamma = s . y / y . H0 y of the newest
+        kept pair."""
         sg = (self.S @ g).tolist()
         sy, ys = self.SY.tolist(), self.SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
@@ -352,8 +519,9 @@ class _Memory:
         gamma = 1.0
         if hist:
             new = hist[-1]
-            gamma = sy[new][new] / stiff.h0_quad(self.Y[new])
-        r = stiff.h0(g - np.array(a) @ self.Y)
+            gamma = sy[new][new] / stiff.h0_quad(self.Y[new], self.Yc[new])
+        av = np.array(a)
+        r = stiff.h0(g - av @ self.Y, gc - av @ self.Yc)
         r *= gamma
         yr = (self.Y @ r).tolist()
         c = [0.0] * _MEMORY
@@ -374,14 +542,19 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     iterates stay nonnegative and df <= 0 wherever u = 0 (module
     docstring), so no bound constraint is active and no free set is kept.
     It runs on the Gram matrix of the stored pairs around one application
-    of the initial Hessian gamma H0 (Nocedal-Wright 7.2):
-    H0 = D - _CHEB D A D, A = A(u) the cell stiffness at the
-    current iterate weighted by the lagged diffusivity |grad u|^(p-2) and
-    D = 1 / diag A floored at ``_EPS_D`` of its max (``_Stiffness``). It is
-    reset to -D df when it is not a descent direction. The line search
-    backtracks on the projected arc max(u + tau d, 0) and accepts only a
-    strict Armijo decrease with positive weighted mass, so each accepted
-    step (one iteration, one ``callback(loglam)``) strictly decreases
+    of the initial Hessian gamma H0 (Nocedal-Wright 7.2, which allows any
+    positive definite H0 at each step): H0 = D - _CHEB D A D +
+    P (P^T Abar P)^-1 P^T, A = A(u) the cell stiffness at the current
+    iterate weighted by the lagged diffusivity |grad u|^(p-2), D = 1 / diag A
+    floored at ``_EPS_D`` of its max, Abar = A with that floored diagonal
+    and P the bilinear prolongation from the coarse nodes ``_COARSE`` fine
+    nodes apart that lie mostly on unfloored nodes (``_Stiffness``). The
+    coarse matrix is rebuilt every ``_REFRESH`` iterations; P^T df is formed
+    once per gradient, and each pair keeps P^T y as a difference of those.
+    The direction is reset to -D df when it is not a descent direction.
+    The line search backtracks on the projected arc max(u + tau d, 0) and
+    accepts only a strict Armijo decrease with positive weighted mass, so
+    each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
     lambda. Each trial is evaluated in one pass that keeps its powers, and
     the gradient at an accepted trial reuses them. ``converged`` certifies
     stationarity: the relative KKT residual max|dE - lam dG| / max|dE|
@@ -483,7 +656,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         ev = evaluate(x)
     loglam, logG, cache = ev
     g, kkt = gradient(x, loglam, logG, cache)
-    memory = _Memory(x.size)
+    del ev, cache  # a trial's powers are spent once its gradient is taken
+    gc = stiff.restrict(g)
+    memory = _Memory(x.size, stiff.nc)
     it = 0
     tau = 0.0
     while True:
@@ -498,7 +673,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             break
         step = None
         if memory:
-            d = memory.direction(g, stiff)
+            d = memory.direction(g, gc, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
@@ -516,10 +691,12 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if callback is not None:
             callback(loglam)
         gt, kkt = gradient(xt, loglam, logG, cache)
+        del step, cache
+        gct = stiff.restrict(gt)
         s, y = xt - x, gt - g
         if s @ y > _CURV * (y @ y):
-            memory.push(s, y)
-        x, g = xt, gt
+            memory.push(s, y, gct - gc)
+        x, g, gc = xt, gt, gct
 
     u = np.zeros(inside.shape)
     u[inside] = x

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
                     WeightField, cone_field, dirichlet_energy_p, edt, eigen,
                     mu1, negate, rasterize, regions_weight, solve_lambda1,
                     sweep, two_cone_upper_bound, weighted_mass_p)
-from infeig.eigen import (_MEMORY, SweepRecord, _Memory, _power, _Stiffness,
-                          _underflow_cut, cone_rayleigh_root,
-                          dirichlet_energy_grad, rayleigh, seed_cone,
-                          weighted_mass_grad)
+from infeig.eigen import (_COARSE, _FRINGE, _MEMORY, SweepRecord, _Memory,
+                          _Stiffness, _invert_lower, _power, _underflow_cut,
+                          cone_rayleigh_root, dirichlet_energy_grad, rayleigh,
+                          seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
 
@@ -180,6 +181,19 @@ class TestEnergyAndMass:
         u = ScalarField(grid, np.where(mask.inside, np.abs(X), 0.0))
         # |x| is even, m = x is odd: exact cancellation on the symmetric grid
         assert abs(weighted_mass_p(u, w, 4.0)) <= 1e-12
+
+    @pytest.mark.parametrize("top", [1.0, 1e5, 1e12])
+    def test_mass_overflow_keeps_its_sign(self, top):
+        # a weight of one sign on every node: the mass is the same number
+        # with that sign, +-inf alike once top^64 overflows
+        grid, mask, dist = disk_setup(1 / 16)
+        u = cone_field((grid.nx // 2, grid.ny // 2), 1.0, grid, dist)
+        u = ScalarField(grid, np.where(mask.inside, top * u.u, 0.0))
+        plus = uniform_weight(grid, mask)
+        pos = weighted_mass_p(u, plus, 64.0)
+        neg = weighted_mass_p(u, negate(plus), 64.0)
+        assert neg == -pos
+        assert math.isinf(pos) == (top > 1.0)
 
     def test_zero_order_term(self):
         grid, mask, dist = disk_setup(1 / 64)
@@ -502,6 +516,23 @@ class TestSolver:
         assert np.isfinite(res.field.u).all()
         assert 0.5 < res.lambda_root < 3.0
 
+    def test_two_level_peak_memory(self):
+        # P is kept as two 1-D hat matrices and Ac^-1 as one dense factor:
+        # a stored P (inside nodes x 484 coarse nodes) alone would add
+        # ~100 MB here. The one-level solver (H0 = D - 0.4 D A D) peaked at
+        # 11.28 MB on this solve, whether capped at 60 iterations or not
+        grid = Grid(192, 192, 2.1 / 191, (-1.05, -1.05))
+        mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+        w = example1_weight(grid, mask)
+        dist = edt(mask)
+        tracemalloc.start()
+        try:
+            solve_lambda1(w, 4.0, opts=SolverOpts(max_iter=60), dist=dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 11.28e6
+
     def test_p_out_of_range(self):
         grid, mask, dist = disk_setup(1 / 16)
         w = uniform_weight(grid, mask)
@@ -541,13 +572,39 @@ def dense_stiffness(pg, inside):
     return A
 
 
+def dense_prolongation(inside):
+    """Bilinear hats of the coarse nodes _COARSE apart, anchored at the
+    collar row and column before the first inside node, on the inside nodes
+    (row-major), one column per coarse node (row-major) whose hat covers an
+    inside node."""
+    f = _COARSE
+    hats = []
+    for axis, n in enumerate(inside.shape):
+        first = np.flatnonzero(inside.any(axis=1 - axis))[0] - 1
+        nodes = np.arange(n)[:, None]
+        coarse = first + f * np.arange(-2, n // f + 3)[None, :]
+        hats.append(np.maximum(1.0 - np.abs(nodes - coarse) / f, 0.0))
+    P = np.einsum("iI,jJ->ijIJ", *hats)[inside]
+    P = P.reshape(P.shape[0], -1)
+    return P[:, P.sum(axis=0) > 0]
+
+
 def dense_h0(pg, inside):
-    """(H0, D): H0 = D - 0.4 D A D with D = 1 / diag A floored at 1e-3 of
-    its max."""
+    """(H0, D, P): H0 = D - 0.4 D A D + P (P^T Abar P)^-1 P^T, with
+    D = 1 / diag A floored at 1e-3 of its max, Abar = A with that floored
+    diagonal, and P the hats with at most a share _FRINGE of their weight
+    on floored nodes; H0 is the one-level part when there is no such hat."""
     A = dense_stiffness(pg, inside)
     diag = np.diag(A)
-    D = 1.0 / np.maximum(diag, 1e-3 * diag.max())
-    return np.diag(D) - 0.4 * D[:, None] * A * D[None, :], D
+    floored = np.maximum(diag, 1e-3 * diag.max())
+    D = 1.0 / floored
+    H0 = np.diag(D) - 0.4 * D[:, None] * A * D[None, :]
+    P = dense_prolongation(inside)
+    P = P[:, (floored > diag) @ P <= _FRINGE * P.sum(axis=0)]
+    if P.shape[1]:
+        Abar = A + np.diag(floored - diag)
+        H0 += P @ np.linalg.inv(P.T @ Abar @ P) @ P.T
+    return H0, D, P
 
 
 def two_loop_reference(g, pairs, H0):
@@ -613,12 +670,16 @@ def offset_inside():
     return inside
 
 
-def random_stiffness(rng, decades, inside):
+def random_stiffness(rng, decades, inside, flushed=None):
     """(stiffness, pg) on the inside nodes, pg log-uniform over the given
     number of decades on every 2-D cell, also those with no inside corner,
-    and random on the band's wrap cells, which must change nothing."""
+    and random on the band's wrap cells, which must change nothing; pg is
+    exactly 0 on the cells where ``flushed`` is set, as where large p
+    flushes |grad u|^(p-2)."""
     pg = 10.0 ** rng.uniform(-decades, 0.0, (inside.shape[0] - 1,
                                              inside.shape[1] - 1))
+    if flushed is not None:
+        pg[flushed] = 0.0
     stiff = _Stiffness(inside)
     stiff.update(to_band(pg, inside, rng.random(band_layout(inside)[1])))
     return stiff, pg
@@ -628,7 +689,7 @@ def check_gram_direction(rng, inside):
     """_Memory.direction against the dense two-loop oracle, through a wrap
     of the ring, a pair with s . y <= 0 and a single pair."""
     stiff, pg = random_stiffness(rng, 3.0, inside)
-    H0, D = dense_h0(pg, inside)
+    H0, D, _ = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
     n = D.size
     pairs = []
@@ -638,38 +699,45 @@ def check_gram_direction(rng, inside):
         if k == 7:
             y = -s  # s . y < 0: skipped, though still in the ring
         pairs.append((s, y))
-    mem = _Memory(n)
+    mem = _Memory(n, stiff.nc)
     for s, y in pairs:
-        mem.push(s, y)
+        mem.push(s, y, stiff.restrict(y))
     assert len(mem) == _MEMORY
 
     def check(g, pairs):
-        d = mem.direction(g, stiff)
+        d = mem.direction(g, stiff.restrict(g), stiff)
         ref = two_loop_reference(g, pairs, H0)
         assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
 
     for _ in range(3):
         check(rng.standard_normal(n), pairs[-_MEMORY:])
     mem.clear()
-    mem.push(*pairs[0])
+    mem.push(*pairs[0], stiff.restrict(pairs[0][1]))
     check(rng.standard_normal(n), pairs[:1])
 
 
-def check_h0(rng, inside, decades):
-    """stiff.h0 column by column against the dense H0 on all inside nodes,
-    symmetric and >= 0.2 D."""
-    stiff, pg = random_stiffness(rng, decades, inside)
-    ref, D = dense_h0(pg, inside)
+def check_h0(rng, inside, decades, flushed=None):
+    """stiff.h0 column by column against the dense two-level H0 on all
+    inside nodes, symmetric and >= 0.2 D; returns the number of coarse
+    nodes the coarse term uses."""
+    stiff, pg = random_stiffness(rng, decades, inside, flushed)
+    ref, D, P = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
-    H0 = np.column_stack([stiff.h0(e) for e in np.eye(D.size)])
+    assert (stiff.W is None if P.shape[1] == 0
+            else stiff.W.shape[0] == P.shape[1])
+    H0 = np.column_stack([stiff.h0(e, stiff.restrict(e))
+                          for e in np.eye(D.size)])
     scale = np.abs(H0).max()
     assert np.abs(H0 - ref).max() <= 1e-12 * scale
     assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
     assert np.linalg.eigvalsh(H0).min() >= 0.2 * D.min()
     scaled = H0 / np.sqrt(np.outer(D, D))
     assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
-    y = rng.standard_normal(D.size)
-    assert stiff.h0_quad(y) == pytest.approx(y @ ref @ y, rel=1e-12)
+    for _ in range(3):
+        y = rng.standard_normal(D.size)
+        assert stiff.h0_quad(y, stiff.restrict(y)) == pytest.approx(
+            y @ ref @ y, rel=1e-12)
+    return P.shape[1]
 
 
 class TestLbfgsMemory:
@@ -677,14 +745,44 @@ class TestLbfgsMemory:
         check_gram_direction(np.random.default_rng(23), disk_inside())
 
     def test_h0_positive_definite(self):
-        # D A has its spectrum in [0, 2] (Gershgorin), so H0 >= 0.2 D
-        # whatever the contrast of pg
+        # D A has its spectrum in [0, 2] (Gershgorin) and the coarse term is
+        # positive semidefinite, so H0 >= 0.2 D whatever the contrast of pg
         check_h0(np.random.default_rng(5), disk_inside(), 10.0)
+
+    def test_h0_every_coarse_node_active(self):
+        # two decades of pg floor no node: the coarse term spans every hat
+        inside = disk_inside()
+        used = check_h0(np.random.default_rng(7), inside, 2.0)
+        assert used == dense_prolongation(inside).shape[1]
+
+    def test_h0_flushed_region_matches_dense(self):
+        # pg exactly 0 on the cells left of the centre line, as large p
+        # flushes it: the hats with more than a share _FRINGE of their
+        # weight on floored nodes leave the coarse term, and Abar's floor
+        # keeps the coarse matrix of the others definite
+        inside = disk_inside()
+        flushed = np.zeros((inside.shape[0] - 1, inside.shape[1] - 1), bool)
+        flushed[:, :inside.shape[1] // 2] = True
+        used = check_h0(np.random.default_rng(11), inside, 2.0, flushed)
+        assert 0 < used < dense_prolongation(inside).shape[1]
+
+    @pytest.mark.parametrize("n", [1, 40, 150, 484])
+    def test_invert_lower_matches_inverse(self, n):
+        # past 64 rows it recurses by halves; the coarse matrix has ~150
+        # nodes at 96 x 96 and 484 at 192 x 192
+        rng = np.random.default_rng(n)
+        B = rng.standard_normal((n, n))
+        L = np.linalg.cholesky(B @ B.T + n * np.eye(n))
+        W = _invert_lower(L.copy())
+        assert not np.triu(W, 1).any()
+        ref = np.linalg.inv(L)
+        assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_nonsquare_offset_mask_matches_dense(self):
         rng = np.random.default_rng(37)
         check_gram_direction(rng, offset_inside())
         check_h0(rng, offset_inside(), 10.0)
+        check_h0(rng, offset_inside(), 2.0)
 
     @pytest.mark.parametrize("make_inside", [disk_inside, offset_inside])
     def test_cells_without_inside_corner_change_nothing(self, make_inside):
@@ -702,9 +800,11 @@ class TestLbfgsMemory:
         clean.update(to_band(np.where(touched, pg, 0.0), inside,
                              np.zeros(L)))
         assert np.array_equal(junk.D, clean.D)
+        assert np.array_equal(junk.W, clean.W)
         q = rng.standard_normal(junk.D.size)
-        assert np.array_equal(junk.h0(q), clean.h0(q))
-        assert junk.h0_quad(q) == clean.h0_quad(q)
+        qc = junk.restrict(q)
+        assert np.array_equal(junk.h0(q, qc), clean.h0(q, qc))
+        assert junk.h0_quad(q, qc) == clean.h0_quad(q, qc)
 
 
 class TestTwoConeBound:

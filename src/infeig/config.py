@@ -83,10 +83,14 @@ def _parse_shape(d: dict, where: str, extra: set = frozenset()):
         raise ConfigError(f"{where}: op must be union or difference, got {op!r}")
     if kind == "disk":
         return Disk(_numbers(d["center"], f"{where}.center", 2),
-                    _number(d["radius"], f"{where}.radius"), op)
+                    _number(d["radius"], f"{where}.radius", positive=True), op)
     if kind == "rect":
-        return Rect(_numbers(d["min"], f"{where}.min", 2),
-                    _numbers(d["max"], f"{where}.max", 2), op)
+        lo = _numbers(d["min"], f"{where}.min", 2)
+        hi = _numbers(d["max"], f"{where}.max", 2)
+        if not (lo[0] < hi[0] and lo[1] < hi[1]):
+            raise ConfigError(f"{where}: min must be below max on both axes, "
+                              f"got min {list(lo)}, max {list(hi)}")
+        return Rect(lo, hi, op)
     verts = _list(d["vertices"], f"{where}.vertices")
     return Polygon(tuple(_numbers(v, f"{where}.vertex", 2) for v in verts), op)
 

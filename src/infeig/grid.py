@@ -41,11 +41,16 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (self.nx, self.ny)
 
-    def coords(self) -> tuple[np.ndarray, np.ndarray]:
-        """World coordinates of every node as two (nx, ny) arrays."""
+    def axes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Node x coordinates as an (nx, 1) column and y coordinates as a
+        (1, ny) row; they broadcast to the grid."""
         x = self.origin[0] + self.h * np.arange(self.nx)
         y = self.origin[1] + self.h * np.arange(self.ny)
-        return np.meshgrid(x, y, indexing="ij")
+        return x[:, None], y[None, :]
+
+    def coords(self) -> tuple[np.ndarray, np.ndarray]:
+        """World coordinates of every node as two (nx, ny) arrays."""
+        return tuple(np.broadcast_to(a, self.shape).copy() for a in self.axes())
 
     def scaled(self, t: float) -> "Grid":
         """Same lattice with spacing and origin scaled by t."""
@@ -127,7 +132,7 @@ class Polygon:
         vx = np.array([v[0] for v in self.vertices])
         vy = np.array([v[1] for v in self.vertices])
         n = len(vx)
-        out = np.zeros(X.shape, dtype=bool)
+        out = np.zeros(np.broadcast_shapes(X.shape, Y.shape), dtype=bool)
         j = n - 1
         for i in range(n):
             crosses = ((vy[i] > Y) != (vy[j] > Y))
@@ -141,14 +146,16 @@ class Polygon:
 def rasterize(primitives, grid: Grid) -> DomainMask:
     """Compose signed shapes into an inside mask, clearing the boundary collar.
 
-    Shapes are applied in order: "union" adds, "difference" subtracts.
+    Shapes are applied in order: "union" adds, "difference" subtracts. Each
+    shape tests the separable coordinates of `Grid.axes`, which it
+    broadcasts to the grid.
     """
     if not primitives:
         raise ValueError("primitive list is empty")
-    X, Y = grid.coords()
+    x, y = grid.axes()
     inside = np.zeros(grid.shape, dtype=bool)
     for prim in primitives:
-        hit = prim.contains(X, Y)
+        hit = prim.contains(x, y)
         if prim.op == "union":
             inside |= hit
         elif prim.op == "difference":

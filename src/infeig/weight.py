@@ -65,13 +65,14 @@ def build_weight(spec, grid: Grid, mask: DomainMask) -> WeightField:
 def regions_weight(background: float, regions, grid: Grid,
                    mask: DomainMask) -> WeightField:
     """Piecewise-constant weight: `background` overridden in order by
-    (shape, value) pairs."""
+    (shape, value) pairs. The shapes test the separable coordinates of
+    `Grid.axes`, as in `rasterize`."""
     if regions is None:
         regions = []
-    X, Y = grid.coords()
+    x, y = grid.axes()
     m = np.full(grid.shape, float(background))
     for shape, value in regions:
-        m[shape.contains(X, Y)] = float(value)
+        m[shape.contains(x, y)] = float(value)
     return WeightField(grid, mask, m)
 
 

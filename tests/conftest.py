@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from infeig import Disk, Grid, edt, rasterize, regions_weight
+from infeig import Disk, Grid, Polygon, Rect, edt, rasterize, regions_weight
 
 
 def disk_setup(h, radius=1.0, margin=2):
@@ -57,3 +57,21 @@ def random_mask(rng, n=32, fill=0.45):
         inside[:, 0] = inside[:, -1] = False
         if inside.any():
             return inside
+
+
+# a non-square grid, and each shape kind once added and once cut out
+MIXED_GRID = Grid(41, 29, 0.07, (-1.4, -0.98))
+MIXED_SHAPES = {
+    "disk": (Disk((0.1, -0.05), 0.8), Disk((0.3, 0.2), 0.35, "difference")),
+    "rect": (Rect((-1.2, -0.7), (0.4, 0.6)),
+             Rect((-0.5, -0.3), (0.0, 0.1), "difference")),
+    "polygon": (Polygon(((-0.9, -0.8), (1.1, -0.6), (0.2, 0.9))),
+                Polygon(((-0.2, -0.4), (0.5, -0.3), (0.1, 0.3)), "difference")),
+}
+
+
+def meshgrid_coords(grid):
+    """Every node's coordinates as two full (nx, ny) arrays."""
+    return np.meshgrid(grid.origin[0] + grid.h * np.arange(grid.nx),
+                       grid.origin[1] + grid.h * np.arange(grid.ny),
+                       indexing="ij")

@@ -146,6 +146,17 @@ MALFORMED = {
         "limits", weight={"kind": "affine", "gradient": [1.0]}),
     "disk_center_one_element": config_argv(
         "limits", domain=[{"shape": "disk", "center": [0.0], "radius": 1.0}]),
+    # Disk.contains squares the radius: -0.9 would silently act as 0.9
+    "domain_disk_radius_negative": config_argv("limits", domain=[
+        {"shape": "disk", "center": [0.0, 0.0], "radius": -0.9}]),
+    "domain_disk_radius_zero": config_argv("limits", domain=[
+        {"shape": "disk", "center": [0.0, 0.0], "radius": 0.0}]),
+    "region_disk_radius_negative": config_argv("limits", weight={
+        "kind": "regions", "background": -1.0, "regions": [
+            {"shape": "disk", "center": [0.0, 0.0], "radius": -0.5,
+             "value": 1.0}]}),
+    "rect_reversed": config_argv("limits", domain=[
+        {"shape": "rect", "min": [-1.0, 1.0], "max": [1.0, -1.0]}]),
     "grid_nx_null": config_argv("limits",
                                 grid={"nx": None, "ny": 9, "h": 0.25}),
     "viscosity_c_tol_non_numeric": config_argv("limits",

@@ -10,7 +10,7 @@ from infeig import (Disk, DomainMask, Grid, cone_field, compute_limits, edt,
 from infeig.errors import (GeometryError, InfeasiblePackingError,
                            NoPositiveRegionError)
 from infeig.eigen import dirichlet_energy_p
-from infeig.geometry import _chain, _farthest_pair
+from infeig.geometry import _chain, _farthest_pair, _witness
 
 
 def brute_force_pack2(dist, plus_mask):
@@ -50,6 +50,57 @@ def all_ends_farthest_pair(sel, h):
                               ends[:, None, 1] - ends[None, :, 1])
     a, b = np.unravel_index(int(np.argmax(half)), half.shape)
     return float(half[a, b]), tuple(map(tuple, ends[[a, b]].tolist()))
+
+
+def sequential_chain(pts):
+    """Andrew's monotone chain over (i, j) points in row order, one point at
+    a time: pop the last point kept while it makes no strict left turn."""
+    keep = []
+    for n, (i, j) in enumerate(pts):
+        while len(keep) >= 2:
+            (i0, j0), (i1, j1) = pts[keep[-2]], pts[keep[-1]]
+            if (i1 - i0) * (j - j0) - (j1 - j0) * (i - i0) > 0:
+                break
+            keep.pop()
+        keep.append(n)
+    return keep
+
+
+def chain(pts):
+    i, j = np.array(pts).reshape(-1, 2).T
+    return _chain(i, j).tolist()
+
+
+def float_greedy_witness(sel, k, h):
+    """The farthest pair, then k - 2 times the node of `sel` with the largest
+    float distance np.hypot to the chosen nodes, first maximum in row-major
+    order, over every node of `sel`."""
+    half, centers = _farthest_pair(sel, h)
+    if k > 2:
+        pts = np.argwhere(sel)
+        near = np.min([np.hypot(pts[:, 0] - i, pts[:, 1] - j)
+                       for i, j in centers], axis=0)
+        for _ in range(k - 2):
+            a = int(np.argmax(near))
+            half = min(half, 0.5 * h * float(near[a]))
+            centers += (tuple(pts[a].tolist()),)
+            near = np.minimum(near, np.hypot(pts[:, 0] - pts[a, 0],
+                                             pts[:, 1] - pts[a, 1]))
+    return half, centers
+
+
+def symmetric_masks():
+    """Tie-heavy masks: squares, diamonds, disks and annuli, centred and
+    off-centre in their box."""
+    i, j = np.mgrid[:41, :47]
+    masks = []
+    for ci, cj in ((20, 23), (17, 26)):
+        di, dj = np.abs(i - ci), np.abs(j - cj)
+        rho2 = di ** 2 + dj ** 2
+        for r in (3, 8, 15):
+            masks += [(di <= r) & (dj <= r), di + dj <= r, rho2 <= r * r,
+                      (rho2 <= r * r) & (rho2 >= (r // 2) ** 2)]
+    return masks
 
 
 def farthest_pair_masks():
@@ -174,11 +225,66 @@ class TestPack:
                 assert _farthest_pair(sel, h) == all_ends_farthest_pair(sel, h)
 
     def test_chain_keeps_strict_vertices_only(self):
-        assert _chain([(i, 0) for i in range(5)]) == [0, 4]
-        assert _chain([(0, 2), (1, 0), (2, 2)]) == [0, 1, 2]
-        assert _chain([(0, 0), (1, 2), (2, 0)]) == [0, 2]
-        assert _chain([(0, 3), (1, 1), (2, 0), (3, 0), (4, 1)]) == [0, 1, 2, 3, 4]
-        assert _chain([(0, 4), (1, 2), (2, 0), (3, 1), (4, 2)]) == [0, 2, 4]
+        assert chain([(i, 0) for i in range(5)]) == [0, 4]
+        assert chain([(0, 2), (1, 0), (2, 2)]) == [0, 1, 2]
+        assert chain([(0, 0), (1, 2), (2, 0)]) == [0, 2]
+        assert chain([(0, 3), (1, 1), (2, 0), (3, 0), (4, 1)]) == [0, 1, 2, 3, 4]
+        assert chain([(0, 4), (1, 2), (2, 0), (3, 1), (4, 2)]) == [0, 2, 4]
+
+    def test_chain_matches_sequential_oracle(self):
+        rng = np.random.default_rng(11)
+        cases = []
+        for _ in range(500):
+            n = int(rng.integers(0, 80))
+            i = np.sort(rng.choice(400, n, replace=False))
+            j = rng.integers(0, rng.integers(1, 120), n)
+            cases += [(i, j), (i[::-1], j[::-1])]
+        # a strict convex arc that one far point cuts one vertex per pass
+        i = np.arange(31)
+        cases.append((np.append(i, 400), np.append(i * (i - 1) // 2, -10 ** 6)))
+        for i, j in cases:
+            assert _chain(i, j).tolist() == sequential_chain(
+                list(zip(i.tolist(), j.tolist())))
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_witness_matches_float_greedy_oracle(self, k):
+        # the integer d^2 argmax with hypot among its ties picks the node
+        # the float greedy picks, and the same half-distance, bit for bit
+        rng = np.random.default_rng(k)
+        masks = [rng.random(rng.integers(1, 40, 2)) < rng.uniform(0.02, 1.0)
+                 for _ in range(150)]
+        masks += symmetric_masks()
+        for sel in masks:
+            if sel.any():
+                for h in (1.0, 1 / 256):
+                    assert _witness(sel, k, h) == float_greedy_witness(sel, k, h)
+
+    def test_witness_breaks_d2_ties_by_hypot(self):
+        # 17^2 + 52^2 = 28^2 + 47^2 = 2993, and np.hypot may round the two
+        # a unit in the last place apart; the farthest pair is A, B, and the
+        # third centre is P or Q, at squared distance 2993 from A
+        sel = np.zeros((53, 201), dtype=bool)
+        A, B, P, Q = (0, 0), (0, 200), (52, 17), (47, 28)
+        for node in (A, B, P, Q):
+            sel[node] = True
+        half, centers = _witness(sel, 3, 1.0)
+        assert (half, centers) == float_greedy_witness(sel, 3, 1.0)
+        # Q comes first in row-major order, so it wins only a real tie
+        assert centers[2] == (P if np.hypot(52, 17) > np.hypot(47, 28) else Q)
+        assert half == 0.5 * np.hypot(*centers[2])
+
+    def test_witness_on_levels_with_fewer_than_k_nodes(self):
+        # the top distance levels of a disk hold 1, 5, ... nodes: once every
+        # node is a centre the greedy repeats nodes at distance 0
+        dist, plus = disk_h23()
+        levels = np.unique(dist.d[plus])[::-1]
+        for level in levels[:3]:
+            sel = plus & (dist.d >= level)
+            for k in range(3, 8):
+                assert _witness(sel, k, 1 / 23) == float_greedy_witness(
+                    sel, k, 1 / 23)
+        sel = plus & (dist.d >= levels[0])
+        assert sel.sum() < 3 and _witness(sel, 3, 1 / 23)[0] == 0.0
 
     @pytest.mark.parametrize("make_weight, k, radius, centers", [
         (uniform_weight, 2, 0.5002440810494413, ((35, 58), (97, 74))),

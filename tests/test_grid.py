@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.ndimage import distance_transform_edt
 
-from conftest import brute_force_edt, disk_setup, random_mask
+from conftest import (MIXED_GRID, MIXED_SHAPES, brute_force_edt, disk_setup,
+                      meshgrid_coords, random_mask)
 from infeig import Disk, DomainMask, Grid, Rect, Polygon, edt, rasterize
 from infeig.errors import ConfigError, DegenerateDomainError
 from infeig import fieldio
@@ -51,6 +52,23 @@ def test_rasterize_polygon_even_odd():
     X, Y = g.coords()
     assert mask.inside[(np.abs(X) < 0.7) & (np.abs(Y) < 0.7)].all()
     assert not mask.inside[(np.abs(X) > 0.9) | (np.abs(Y) > 0.9)].any()
+
+
+@pytest.mark.parametrize("kind", [*sorted(MIXED_SHAPES), "all"])
+def test_rasterize_matches_meshgrid_reference(kind):
+    # the shapes see an (nx, 1) column and a (1, ny) row; each node goes
+    # through the same elementwise operations as on full coordinate arrays
+    prims = (sum(MIXED_SHAPES.values(), ()) if kind == "all"
+             else MIXED_SHAPES[kind])
+    X, Y = meshgrid_coords(MIXED_GRID)
+    ref = np.zeros(MIXED_GRID.shape, dtype=bool)
+    for prim in prims:
+        hit = prim.contains(X, Y)
+        ref = ref | hit if prim.op == "union" else ref & ~hit
+    ref[[0, -1], :] = ref[:, [0, -1]] = False
+    inside = rasterize(prims, MIXED_GRID).inside
+    assert ref.any() and not ref.all()
+    assert np.array_equal(inside, ref)
 
 
 def test_collar_enforced():

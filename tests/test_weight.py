@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
-from conftest import disk_setup, example1_weight, uniform_weight
-from infeig import build_weight, negate, regions_weight
+from conftest import (MIXED_GRID, MIXED_SHAPES, disk_setup, example1_weight,
+                      meshgrid_coords, uniform_weight)
+from infeig import build_weight, negate, rasterize, regions_weight
 
 
 def test_constant_weight_masks():
@@ -67,3 +69,20 @@ def test_one_signed_allowed():
     w = regions_weight(-2.0, [], grid, mask)
     assert not w.sign_changing
     assert np.array_equal(w.minus, mask.inside)
+
+
+@pytest.mark.parametrize("kind", [*sorted(MIXED_SHAPES), "all"])
+def test_regions_weight_matches_meshgrid_reference(kind):
+    shapes = (sum(MIXED_SHAPES.values(), ()) if kind == "all"
+              else MIXED_SHAPES[kind])
+    regions = [(shape, v) for shape, v in zip(shapes, (2.0, -3.0, 0.5, -1.5,
+                                                       4.0, -0.25))]
+    mask = rasterize([MIXED_SHAPES["rect"][0]], MIXED_GRID)
+    X, Y = meshgrid_coords(MIXED_GRID)
+    ref = np.full(MIXED_GRID.shape, -1.0)
+    for shape, v in regions:
+        ref[shape.contains(X, Y)] = v
+    ref[~mask.inside] = 0.0
+    w = regions_weight(-1.0, regions, MIXED_GRID, mask)
+    assert len(np.unique(ref)) > 2
+    assert np.array_equal(w.m, ref)

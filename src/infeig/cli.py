@@ -85,10 +85,13 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
         raise GridMismatchError(
             f"field grid {grid.nx}x{grid.ny} (h={grid.h}) does not match "
             f"config grid {cfg.grid.nx}x{cfg.grid.ny} (h={cfg.grid.h})")
-    u = ScalarField(cfg.grid, np.where(mask.inside, values, 0.0))
-    # the residuals see the field zeroed outside, boundary_max the file's
-    report = replace(viscosity.check(u, lam, w, cfg.viscosity),
-                     boundary_max=float(np.abs(values[~mask.inside]).max()))
+    # boundary_max is the file's; the residuals see the field zeroed outside
+    outside = ~mask.inside
+    boundary_max = float(np.abs(values[outside]).max())
+    values[outside] = 0.0
+    report = replace(viscosity.check(ScalarField(cfg.grid, values), lam, w,
+                                     cfg.viscosity),
+                     boundary_max=boundary_max)
     _write_json(f"{prefix}_check.json", report.to_record())
     for name in ("pos", "neg", "zero"):
         print(f"{name}: nodes={report.counts[name]} "

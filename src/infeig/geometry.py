@@ -168,7 +168,15 @@ def _bisect_pack(d: np.ndarray, plus_mask: np.ndarray, h: float, k: int):
     or D(r) at the next level up. For k >= 3 the greedy D(r) need not
     shrink, so the crossing found is a lower bound. Returns (radius,
     centers).
+
+    The levels are built and scanned on the bounding box of the plus set
+    only: the witness reads index differences and row order, which the
+    crop keeps, so radius and centres are those of the whole grid.
     """
+    rows = np.flatnonzero(plus_mask.any(axis=1))
+    cols = np.flatnonzero(plus_mask.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    d, plus_mask = d[box], plus_mask[box]
     levels = np.unique(d[plus_mask])
     lo, hi = 0, len(levels)
     below = above = None  # (value, centers) at levels lo - 1 and hi
@@ -179,8 +187,10 @@ def _bisect_pack(d: np.ndarray, plus_mask: np.ndarray, h: float, k: int):
             lo, below = mid + 1, (float(levels[mid]), centers)
         else:
             hi, above = mid, (half, centers)
-    return max((c for c in (below, above) if c is not None),
-               key=lambda c: c[0])
+    radius, centers = max((c for c in (below, above) if c is not None),
+                          key=lambda c: c[0])
+    return radius, tuple((i + int(rows[0]), j + int(cols[0]))
+                         for i, j in centers)
 
 
 def pack(k: int, dist: DistanceField, plus_mask: np.ndarray,
@@ -221,9 +231,13 @@ def cone_field(center: tuple[int, int], radius: float, grid: Grid,
         raise GeometryError(
             f"ball of radius {radius} at {center} exits the domain "
             f"(d = {dist.d[center]})")
-    I, J = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny), indexing="ij")
-    rho = grid.h * np.hypot(I - center[0], J - center[1])
-    return ScalarField(grid, np.maximum(radius - rho, 0.0))
+    # one grid-sized array: the broadcast index ranges, then in place the
+    # operations of np.maximum(radius - h * rho, 0.0)
+    u = np.hypot((np.arange(grid.nx) - center[0])[:, None],
+                 (np.arange(grid.ny) - center[1])[None, :])
+    u *= grid.h
+    np.subtract(radius, u, out=u)
+    return ScalarField(grid, np.maximum(u, 0.0, out=u))
 
 
 def two_cone_field(alpha: float, beta: float, c1, c2, radius: float,

@@ -106,6 +106,11 @@ class Disk:
     radius: float
     op: str = "union"
 
+    def __post_init__(self):
+        # contains squares the radius, so a negative one would act as |r|
+        if self.radius < 0:
+            raise ValueError(f"disk radius must be >= 0, got {self.radius}")
+
     def contains(self, X, Y):
         return (X - self.center[0]) ** 2 + (Y - self.center[1]) ** 2 < self.radius ** 2
 

@@ -6,6 +6,12 @@ residual expressions use -inf_laplacian directly. Nodes where centered
 stencils straddle a ridge or an unresolved curvature spike are EXCLUDED;
 viscosity residuals are only meaningful where a smooth test function could
 touch the field.
+
+Every label and residual reads only a node's 3x3 neighbourhood, so `check`
+streams over row slabs: one pass for the whole-grid maxima behind its
+thresholds, one for the labels and residuals of each slab widened by a halo
+row. Its working set is a few slabs of SLAB_NODES nodes, not the dozen
+full-grid arrays of the same computation done on the whole grid at once.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ POS, NEG, ZERO, EXCLUDED = 1, -1, 0, 9
 KINK_FRACTION = 0.2
 CURVATURE_GUARD = 0.5
 DEFAULT_C_TOL = 4.0
+# nodes per row slab of `check`; a slab is at least one row
+SLAB_NODES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,15 @@ def erode(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kink_tol(lip, height, h: float):
+    """The automatic slope-jump threshold from the field's Lipschitz bound
+    and height; infinite for a flat field, which has no kinks."""
+    if lip == 0.0:
+        return np.inf
+    scale = height / lip  # natural length of the field
+    return min(KINK_FRACTION, CURVATURE_GUARD * (h / scale) ** (2 / 3)) * lip
+
+
 def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np.ndarray:
     """Ridge/kink detector: one-sided first differences disagreeing by more
     than the threshold in either axis mark the node as excluded."""
@@ -118,15 +135,62 @@ def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np
     dx /= h
     np.subtract(u[:, 1:], u[:, :-1], out=dy[:, 1:-1])
     dy /= h
-    lip = max(np.abs(dx).max(), np.abs(dy).max())
     if kink_tol is None:
-        if lip == 0.0:
-            return np.zeros(u.shape, dtype=bool)
-        height = np.abs(u).max()
-        scale = height / lip  # natural length of the field
-        kink_tol = min(KINK_FRACTION, CURVATURE_GUARD * (h / scale) ** (2 / 3)) * lip
+        lip = max(np.abs(dx).max(), np.abs(dy).max())
+        kink_tol = _kink_tol(lip, np.abs(u).max(), h)
     return ((np.abs(dx[1:, :] - dx[:-1, :]) > kink_tol)
             | (np.abs(dy[:, 1:] - dy[:, :-1]) > kink_tol))
+
+
+def _slabs(nx: int, ny: int):
+    """Row ranges [r0, r1) of about SLAB_NODES nodes each, covering nx rows
+    of ny nodes."""
+    rows = max(1, SLAB_NODES // ny)
+    for r0 in range(0, nx, rows):
+        yield r0, min(r0 + rows, nx)
+
+
+def _thresholds(u: np.ndarray, w: WeightField, h: float, opts: CheckOpts):
+    """Pass 1: the regime threshold eps, the kink threshold and the largest
+    |u| outside the domain, from whole-grid maxima taken slab by slab."""
+    inside = w.mask.inside
+    top = np.zeros(5)  # max |m u|, max |u|, max |x diff|, max |y diff|, boundary
+    for r0, r1 in _slabs(*u.shape):
+        us = u[r0:r1]
+        # the x differences of the slab's rows reach one row past its end
+        np.maximum(top, [np.abs(w.m[r0:r1] * us).max(),
+                         np.abs(us).max(),
+                         np.abs(np.diff(u[r0:r1 + 1], axis=0)).max(initial=0.0),
+                         np.abs(np.diff(us, axis=1)).max(),
+                         np.abs(us[~inside[r0:r1]]).max(initial=0.0)],
+                   out=top)
+    mu_max, height, dx_max, dy_max, boundary_max = top
+    eps = opts.eps_regime
+    if eps is None:
+        eps = 1e-12 * max(mu_max, 1.0)
+    kink_tol = opts.kink_tol
+    if kink_tol is None:
+        # division by h > 0 rounds monotonically: the max of the quotients
+        # is the quotient of the max, as excluded_nodes takes it
+        kink_tol = _kink_tol(max(dx_max / h, dy_max / h), height, h)
+    return eps, kink_tol, float(boundary_max)
+
+
+def _labels(u: np.ndarray, m: np.ndarray, inside: np.ndarray, h: float,
+            eps: float, kink_tol: float) -> np.ndarray:
+    """POS/NEG/ZERO/EXCLUDED on a block of rows, node by node from the
+    block's own 3x3 neighbourhoods."""
+    # centered 3x3 stencils are only meaningful where the full neighborhood
+    # is inside; rim-adjacent nodes read Dirichlet-truncated values
+    core = erode(inside)
+    mu = m * u
+    labels = np.full(u.shape, EXCLUDED, dtype=int)
+    labels[core & (mu > eps)] = POS
+    labels[core & (mu < -eps)] = NEG
+    labels[core & erode(np.abs(mu) <= eps)] = ZERO
+    labels[excluded_nodes(u, h, kink_tol)] = EXCLUDED
+    labels[~core] = EXCLUDED
+    return labels
 
 
 def regime_labels(u: ScalarField, w: WeightField,
@@ -138,25 +202,9 @@ def regime_labels(u: ScalarField, w: WeightField,
     fail that test are excluded, as are ridge nodes.
     """
     opts = opts or CheckOpts()
-    inside = w.mask.inside
     h = u.grid.h
-    # centered 3x3 stencils are only meaningful where the full neighborhood
-    # is inside; rim-adjacent nodes read Dirichlet-truncated values
-    core = erode(inside)
-    mu = w.m * u.u
-    eps = opts.eps_regime
-    if eps is None:
-        eps = 1e-12 * max(np.abs(mu).max(), 1.0)
-    small = np.abs(mu) <= eps
-
-    labels = np.full(u.u.shape, EXCLUDED, dtype=int)
-    labels[core & (mu > eps)] = POS
-    labels[core & (mu < -eps)] = NEG
-    labels[core & erode(small)] = ZERO
-    kink = excluded_nodes(u.u, h, opts.kink_tol)
-    labels[kink] = EXCLUDED
-    labels[~core] = EXCLUDED
-    return labels
+    eps, kink_tol, _ = _thresholds(u.u, w, h, opts)
+    return _labels(u.u, w.m, w.mask.inside, h, eps, kink_tol)
 
 
 def check(u: ScalarField, lam: float, w: WeightField,
@@ -166,31 +214,44 @@ def check(u: ScalarField, lam: float, w: WeightField,
     POS:  |min(-D_inf u, |grad u| - lam*u)|
     NEG:  |max(-D_inf u, -|grad u| - lam*u)|
     ZERO: |D_inf u|
+
+    Two passes over row slabs of about SLAB_NODES nodes. Pass 1 takes the
+    whole-grid maxima behind the thresholds; pass 2 labels each slab and
+    takes its residuals with one halo row on each side, so every kept row
+    sees its true neighbours, and adds up the counts and maxima. The report
+    is that of the whole-grid computation bit for bit; the working set is
+    a few slabs instead of a dozen full grids.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     opts = opts or CheckOpts()
     h = u.grid.h
-    labels = regime_labels(u, w, opts)
-    ux, uy, *second = _stencils(u.u, h)
-    dinf = _inf_lap(ux, uy, *second)
-    gn = np.hypot(ux, uy)
-    res_pos = np.abs(np.minimum(-dinf, gn - lam * u.u))
-    res_neg = np.abs(np.maximum(-dinf, -gn - lam * u.u))
-    res_zero = np.abs(dinf)
-
+    inside = w.mask.inside
+    eps, kink_tol, boundary_max = _thresholds(u.u, w, h, opts)
+    nx = u.u.shape[0]
+    counts = {"pos": 0, "neg": 0, "zero": 0}
+    max_residual = {"pos": 0.0, "neg": 0.0, "zero": 0.0}
+    excluded = 0
+    for r0, r1 in _slabs(*u.u.shape):
+        a, b = max(r0 - 1, 0), min(r1 + 1, nx)  # the slab and its halo
+        keep = slice(r0 - a, r1 - a)
+        us = u.u[a:b]
+        labels = _labels(us, w.m[a:b], inside[a:b], h, eps, kink_tol)[keep]
+        ux, uy, *second = _stencils(us, h)
+        dinf = _inf_lap(ux, uy, *second)[keep]
+        gn = np.hypot(ux[keep], uy[keep])
+        lu = lam * us[keep]
+        for name, lab, res in (("pos", POS, np.abs(np.minimum(-dinf, gn - lu))),
+                               ("neg", NEG, np.abs(np.maximum(-dinf, -gn - lu))),
+                               ("zero", ZERO, np.abs(dinf))):
+            sel = labels == lab
+            counts[name] += int(np.count_nonzero(sel))
+            # np.maximum, unlike max(), keeps a nan on either side
+            max_residual[name] = float(np.maximum(max_residual[name],
+                                                  res[sel].max(initial=0.0)))
+        excluded += int(np.count_nonzero((labels == EXCLUDED) & inside[r0:r1]))
     tol = opts.c_tol * h
-    max_residual, counts, passes = {}, {}, {}
-    for name, lab, res in (("pos", POS, res_pos),
-                           ("neg", NEG, res_neg),
-                           ("zero", ZERO, res_zero)):
-        sel = labels == lab
-        counts[name] = int(sel.sum())
-        mx = float(res[sel].max()) if sel.any() else 0.0
-        max_residual[name] = mx
-        passes[name] = bool(mx <= tol)
-    excluded = int(((labels == EXCLUDED) & w.mask.inside).sum())
-    boundary_max = float(np.abs(u.u[~w.mask.inside]).max())
+    passes = {name: mx <= tol for name, mx in max_residual.items()}
     return ViscosityReport(max_residual=max_residual, counts=counts,
                            excluded=excluded, tolerance=tol, passes=passes,
                            boundary_max=boundary_max)

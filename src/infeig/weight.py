@@ -26,11 +26,10 @@ class WeightField:
     def __post_init__(self):
         if self.m.shape != self.grid.shape:
             raise ValueError("weight shape does not match grid")
-        mv = self.m.copy()
-        mv[~self.mask.inside] = 0.0
+        mv = np.where(self.mask.inside, self.m, 0)
         object.__setattr__(self, "m", mv)
         if self.eps_zero == 0.0:
-            norm = np.abs(mv).max()
+            norm = np.maximum(mv.max(), -mv.min())  # max |m|, no temporary
             object.__setattr__(self, "eps_zero", EPS_ZERO_REL * norm)
 
     @property

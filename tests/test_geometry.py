@@ -89,6 +89,22 @@ def float_greedy_witness(sel, k, h):
     return half, centers
 
 
+def uncropped_bisect_pack(d, plus_mask, h, k):
+    """The packing bisection with every level built on the whole grid."""
+    levels = np.unique(d[plus_mask])
+    lo, hi = 0, len(levels)
+    below = above = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        half, centers = _witness(plus_mask & (d >= levels[mid]), k, h)
+        if levels[mid] <= half:
+            lo, below = mid + 1, (float(levels[mid]), centers)
+        else:
+            hi, above = mid, (half, centers)
+    return max((c for c in (below, above) if c is not None),
+               key=lambda c: c[0])
+
+
 def symmetric_masks():
     """Tie-heavy masks: squares, diamonds, disks and annuli, centred and
     off-centre in their box."""
@@ -259,6 +275,25 @@ class TestPack:
                 for h in (1.0, 1 / 256):
                     assert _witness(sel, k, h) == float_greedy_witness(sel, k, h)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_pack_on_bounding_box_matches_whole_grid(self, k):
+        # plus sets inside random windows, so the crop cuts rows and columns
+        rng = np.random.default_rng(60 + k)
+        for _ in range(40):
+            n = int(rng.integers(8, 48))
+            inside = random_mask(rng, n, rng.uniform(0.4, 1.0))
+            dist = edt(DomainMask(Grid(n, n, float(rng.uniform(0.01, 0.5))),
+                                  inside))
+            i0, j0 = rng.integers(0, n, 2)
+            window = np.zeros_like(inside)
+            window[i0:i0 + rng.integers(1, n), j0:j0 + rng.integers(1, n)] = True
+            plus = inside & window & (rng.random(inside.shape) < rng.uniform(0.1, 1))
+            if plus.sum() < k:
+                continue
+            got = pack(k, dist, plus)
+            assert (got.radius, got.centers) == uncropped_bisect_pack(
+                dist.d, plus, dist.grid.h, k)
+
     def test_witness_breaks_d2_ties_by_hypot(self):
         # 17^2 + 52^2 = 28^2 + 47^2 = 2993, and np.hypot may round the two
         # a unit in the last place apart; the farthest pair is A, B, and the
@@ -385,6 +420,15 @@ class TestConeFields:
         X, Y = grid.coords()
         far = np.hypot(X, Y) >= 0.5
         assert (u.u[far] == 0).all()
+
+    def test_cone_matches_meshgrid_reference(self):
+        # the broadcast index ranges give the meshgrid cone bit for bit
+        I, J = np.meshgrid(np.arange(41), np.arange(29), indexing="ij")
+        for c, radius in (((7, 30), 0.9), ((0, 40), 2.5), ((40, 0), 0.3)):
+            rho = 0.07 * np.hypot(I - c[0], J - c[1])
+            u = cone_field(c, radius, Grid(41, 29, 0.07))
+            assert (u.u.view(np.int64)
+                    == np.maximum(radius - rho, 0.0).view(np.int64)).all()
 
     def test_containment_check(self):
         grid, mask, dist = disk_setup(1 / 64)

@@ -36,6 +36,12 @@ def test_rasterize_degenerate():
         rasterize([Disk((0.0, 0.0), 0.0)], g)
 
 
+def test_disk_radius_must_be_nonnegative():
+    with pytest.raises(ValueError):
+        Disk((0.0, 0.0), -0.9)
+    Disk((0.0, 0.0), 0.0)  # legal; rasterizes to an empty domain, above
+
+
 def test_rasterize_difference():
     g = Grid(65, 65, 1 / 64, (0.0, 0.0))
     mask = rasterize([Rect((0.0, 0.0), (1.0, 1.0)),

@@ -1,12 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.ndimage import binary_erosion
 
 from conftest import disk_setup, example1_weight, uniform_weight
-from infeig import (CheckOpts, ScalarField, check, cone_field, inf_laplacian,
-                    viscosity)
-from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, erode, excluded_nodes,
-                              regime_labels)
+from infeig import (CheckOpts, DomainMask, Grid, ScalarField, WeightField,
+                    check, cone_field, inf_laplacian, viscosity)
+from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, ViscosityReport, erode,
+                              excluded_nodes, regime_labels)
 
 
 def interior(mask):
@@ -195,3 +197,117 @@ def test_stencils_and_kinks_match_expressions_bitwise():
     tol = min(0.2, 0.5 * (grid.h / scale) ** (2 / 3)) * lip
     assert np.array_equal(excluded_nodes(u, grid.h),
                           excluded_by_expression(u, grid.h, tol))
+
+
+def whole_grid_labels(u, w, opts):
+    """regime_labels as one whole-grid computation: the slab oracle."""
+    inside = w.mask.inside
+    core = erode(inside)
+    mu = w.m * u.u
+    eps = opts.eps_regime
+    if eps is None:
+        eps = 1e-12 * max(np.abs(mu).max(), 1.0)
+    small = np.abs(mu) <= eps
+    labels = np.full(u.u.shape, EXCLUDED, dtype=int)
+    labels[core & (mu > eps)] = POS
+    labels[core & (mu < -eps)] = NEG
+    labels[core & erode(small)] = ZERO
+    labels[excluded_nodes(u.u, u.grid.h, opts.kink_tol)] = EXCLUDED
+    labels[~core] = EXCLUDED
+    return labels
+
+
+def whole_grid_check(u, lam, w, opts):
+    """check as one whole-grid computation: the slab oracle."""
+    h = u.grid.h
+    labels = whole_grid_labels(u, w, opts)
+    ux, uy, *second = viscosity._stencils(u.u, h)
+    dinf = viscosity._inf_lap(ux, uy, *second)
+    gn = np.hypot(ux, uy)
+    res_pos = np.abs(np.minimum(-dinf, gn - lam * u.u))
+    res_neg = np.abs(np.maximum(-dinf, -gn - lam * u.u))
+    res_zero = np.abs(dinf)
+    tol = opts.c_tol * h
+    max_residual, counts, passes = {}, {}, {}
+    for name, lab, res in (("pos", POS, res_pos),
+                           ("neg", NEG, res_neg),
+                           ("zero", ZERO, res_zero)):
+        sel = labels == lab
+        counts[name] = int(sel.sum())
+        mx = float(res[sel].max()) if sel.any() else 0.0
+        max_residual[name] = mx
+        passes[name] = bool(mx <= tol)
+    excluded = int(((labels == EXCLUDED) & w.mask.inside).sum())
+    boundary_max = float(np.abs(u.u[~w.mask.inside]).max())
+    return ViscosityReport(max_residual=max_residual, counts=counts,
+                           excluded=excluded, tolerance=tol, passes=passes,
+                           boundary_max=boundary_max)
+
+
+def blocky(rng, shape, scale):
+    """Random values constant on random-sized blocks, so that whole 3x3
+    neighbourhoods share a sign or vanish."""
+    b = int(rng.integers(1, 5))
+    coarse = rng.normal(size=(-(-shape[0] // b), -(-shape[1] // b))) * scale
+    return np.kron(coarse, np.ones((b, b)))[:shape[0], :shape[1]]
+
+
+def random_check_case(rng):
+    nx, ny = (int(v) for v in rng.integers(3, 36, size=2))
+    grid = Grid(nx, ny, float(rng.uniform(0.01, 0.3)))
+    while True:
+        inside = rng.random((nx, ny)) < rng.uniform(0.3, 1.0)
+        inside[0, :] = inside[-1, :] = False
+        inside[:, 0] = inside[:, -1] = False
+        if inside.any():
+            break
+    mask = DomainMask(grid, inside)
+    m = blocky(rng, grid.shape, 1.0)  # sign-changing
+    m[rng.random(grid.shape) < 0.2] = 0.0
+    w = WeightField(grid, mask, m)
+    X, Y = grid.coords()
+    smooth = np.sin(3 * X + rng.uniform(0, 3)) * np.cos(2 * Y)
+    u = smooth + blocky(rng, grid.shape, 0.1) * (rng.random() < 0.5)
+    u[blocky(rng, grid.shape, 1.0) > 0.8] = 0.0
+    if rng.random() < 0.5:
+        u[~inside] = 0.0
+    if rng.random() < 0.05:
+        u[...] = 0.0
+    opts = CheckOpts(
+        kink_tol=None if rng.random() < 0.7 else float(rng.uniform(0.1, 10)),
+        eps_regime=None if rng.random() < 0.7 else float(rng.uniform(0, 0.1)))
+    return ScalarField(grid, u), float(rng.uniform(0.1, 5)), w, opts
+
+
+def test_check_slabs_match_whole_grid(monkeypatch):
+    # every slab height from one row to the whole grid gives the report of
+    # the whole-grid computation, bit for bit
+    rng = np.random.default_rng(41)
+    regimes = np.zeros(3, dtype=int)
+    for _ in range(300):
+        u, lam, w, opts = random_check_case(rng)
+        want = whole_grid_check(u, lam, w, opts).to_record()
+        nx, ny = u.grid.shape
+        for rows in {1, 2, int(rng.integers(1, nx + 1)), nx}:
+            monkeypatch.setattr(viscosity, "SLAB_NODES", rows * ny)
+            assert check(u, lam, w, opts).to_record() == want
+        assert np.array_equal(regime_labels(u, w, opts),
+                              whole_grid_labels(u, w, opts))
+        regimes += [want["counts"][k] > 0 for k in ("pos", "neg", "zero")]
+    assert (regimes > 30).all()  # the cases reach every regime
+
+
+def test_check_streams_in_a_few_grids_of_memory():
+    # the h = 1/256 cone: the whole-grid computation peaks at ~12 grids
+    grid, mask, _ = disk_setup(1 / 256)
+    w = example1_weight(grid, mask)
+    u = cone_field((grid.nx // 2, grid.ny // 2), 1.0, grid)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = check(u, 1.0, w)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.counts["pos"] > 0 and rep.counts["neg"] > 0
+    assert peak <= 3 * u.u.nbytes

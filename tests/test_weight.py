@@ -3,7 +3,7 @@ import pytest
 
 from conftest import (MIXED_GRID, MIXED_SHAPES, disk_setup, example1_weight,
                       meshgrid_coords, uniform_weight)
-from infeig import build_weight, negate, rasterize, regions_weight
+from infeig import WeightField, build_weight, negate, rasterize, regions_weight
 
 
 def test_constant_weight_masks():
@@ -86,3 +86,19 @@ def test_regions_weight_matches_meshgrid_reference(kind):
     w = regions_weight(-1.0, regions, MIXED_GRID, mask)
     assert len(np.unique(ref)) > 2
     assert np.array_equal(w.m, ref)
+
+
+def test_weight_build_matches_masked_copy():
+    # zeroing by np.where and the norm as max(max m, -min m) give the
+    # masked copy and np.abs(m).max() bit for bit
+    grid, mask, _ = disk_setup(1 / 16)
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-300, 1e300):
+        m = rng.normal(size=grid.shape) * scale
+        m[rng.random(grid.shape) < 0.2] = 0.0
+        for mm in (m, -m, np.abs(m), -np.abs(m)):
+            ref = mm.copy()
+            ref[~mask.inside] = 0.0
+            w = WeightField(grid, mask, mm)
+            assert (w.m.view(np.int64) == ref.view(np.int64)).all()
+            assert w.eps_zero == 1e-12 * np.abs(ref).max()

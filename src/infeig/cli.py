@@ -80,7 +80,10 @@ def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
         raise ConfigError(f"--lam must be a finite positive number, got {lam}")
     mask = cfg.build_mask()
     w = cfg.build_weight(mask)
-    grid, values, _ = fieldio.load_array(field_path)
+    grid, values, kind = fieldio.load_array(field_path)
+    if kind != "scalar":
+        raise ConfigError(f"{field_path}: check needs a scalar field, "
+                          f"got a {kind} field")
     if grid != cfg.grid:
         raise GridMismatchError(
             f"field grid {grid.nx}x{grid.ny} (h={grid.h}) does not match "

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 
+KINDS = ("scalar", "mask")
+
 
 def save_array(path, grid: Grid, values: np.ndarray, kind: str) -> None:
     header = {
@@ -41,6 +43,9 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
             kind = header.get("kind", "scalar")
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: bad field header: {e!r}") from e
+        if kind not in KINDS:
+            raise ConfigError(f"{path}: unknown field kind {kind!r}, "
+                              f"expected one of {', '.join(KINDS)}")
         mismatch = f"{path}: body does not match {grid.nx}x{grid.ny} header"
         try:
             with warnings.catch_warnings():  # an empty body is a mismatch

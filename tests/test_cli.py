@@ -121,6 +121,11 @@ MALFORMED = {
         lambda hd, body: (hd, ["nan" + body[0][1:]] + body[1:])),
     "field_inf": check_argv(
         lambda hd, body: (hd, ["inf" + body[0][1:]] + body[1:])),
+    # a 0/1 body as save_array writes for a mask
+    "field_kind_mask": check_argv(
+        lambda hd, body: ({**hd, "kind": "mask"}, ["1" + body[0][1:]] + body[1:])),
+    "field_kind_unknown": check_argv(
+        lambda hd, body: ({**hd, "kind": "banana"}, body)),
     "field_missing": check_flags("--field", "{tmp}/missing.csv"),
     "out_dir_missing": check_flags("--out", "{tmp}/missing/out"),
     "lam_negative": check_flags("--lam", "-1"),

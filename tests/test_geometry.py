@@ -6,11 +6,11 @@ import pytest
 from conftest import (disk_setup, example1_weight, example2_weight,
                       example3_weight, random_mask, uniform_weight)
 from infeig import (Disk, DomainMask, Grid, cone_field, compute_limits, edt,
-                    pack, r_plus, rasterize, two_cone_field)
+                    geometry, pack, r_plus, rasterize, two_cone_field)
 from infeig.errors import (GeometryError, InfeasiblePackingError,
                            NoPositiveRegionError)
 from infeig.eigen import dirichlet_energy_p
-from infeig.geometry import _chain, _farthest_pair, _witness
+from infeig.geometry import _chain, _farthest_pair, _search_pack, _witness
 
 
 def brute_force_pack2(dist, plus_mask):
@@ -96,13 +96,37 @@ def uncropped_bisect_pack(d, plus_mask, h, k):
     below = above = None
     while lo < hi:
         mid = (lo + hi) // 2
-        half, centers = _witness(plus_mask & (d >= levels[mid]), k, h)
+        half, centers = geometry._witness(plus_mask & (d >= levels[mid]),
+                                          k, h)
         if levels[mid] <= half:
             lo, below = mid + 1, (float(levels[mid]), centers)
         else:
             hi, above = mid, (half, centers)
     return max((c for c in (below, above) if c is not None),
                key=lambda c: c[0])
+
+
+def bisect_pack(d, plus_mask, h, k):
+    """The packing bisection on the bounding box of the plus set: the search
+    `pack` ran before its end probes and false position."""
+    rows = np.flatnonzero(plus_mask.any(axis=1))
+    cols = np.flatnonzero(plus_mask.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    radius, centers = uncropped_bisect_pack(d[box], plus_mask[box], h, k)
+    return radius, tuple((i + int(rows[0]), j + int(cols[0]))
+                         for i, j in centers)
+
+
+def count_witness_calls(monkeypatch):
+    """Wraps geometry._witness; returns the list its calls are appended to."""
+    calls = []
+    witness = geometry._witness
+
+    def counted(sel, k, h):
+        calls.append(k)
+        return witness(sel, k, h)
+    monkeypatch.setattr(geometry, "_witness", counted)
+    return calls
 
 
 def symmetric_masks():
@@ -290,9 +314,76 @@ class TestPack:
             plus = inside & window & (rng.random(inside.shape) < rng.uniform(0.1, 1))
             if plus.sum() < k:
                 continue
+            # the search ends on bisection's crossing: for k = 2 it is
+            # unique; for k >= 3 it need not be, but both end on the same
+            # one on these masks
             got = pack(k, dist, plus)
-            assert (got.radius, got.centers) == uncropped_bisect_pack(
+            assert (got.radius, got.centers) == bisect_pack(
+                dist.d, plus, dist.grid.h, k) == uncropped_bisect_pack(
                 dist.d, plus, dist.grid.h, k)
+
+    @pytest.mark.parametrize("make_weight", [
+        uniform_weight, example1_weight, example2_weight, example3_weight])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_search_matches_bisection_on_acceptance_weights(self, make_weight,
+                                                            k):
+        grid, mask, dist = disk_setup(1 / 64)
+        plus = make_weight(grid, mask).plus
+        got = pack(k, dist, plus)
+        assert (got.radius, got.centers) == bisect_pack(dist.d, plus, grid.h, k)
+
+    def test_search_strip_crossing_is_one_call(self, monkeypatch):
+        # the boundary strip passes r <= D(r) at its top level, which is
+        # then the radius
+        grid, mask, dist = disk_setup(1 / 64)
+        plus = example2_weight(grid, mask).plus
+        calls = count_witness_calls(monkeypatch)
+        radius, _ = _search_pack(dist.d, plus, grid.h, 2)
+        assert len(calls) == 1 and radius == dist.d[plus].max()
+
+    def test_search_centre_ball_crossing_is_at_most_two_calls(self, monkeypatch):
+        # the centre ball fails r <= D(r) at its bottom level, whose
+        # half-diameter D is then the radius
+        grid, mask, dist = disk_setup(1 / 64)
+        plus = example1_weight(grid, mask).plus
+        calls = count_witness_calls(monkeypatch)
+        radius, _ = _search_pack(dist.d, plus, grid.h, 2)
+        assert len(calls) <= 2 and radius < dist.d[plus].min()
+
+    def test_search_call_bound_on_adversarial_levels(self, monkeypatch):
+        # levels 1..n on one row, and a stand-in witness with a given
+        # f(r) = r - D(r): f that jumps at the crossing c makes false
+        # position crawl one level per probe from the flat side. A monotone
+        # f has one crossing, which the search must find as bisection does;
+        # any f, monotone or not, must take at most 3 ceil(log2(n + 1)) + 2
+        # calls, and n.bit_length() is ceil(log2(n + 1))
+        calls = []
+
+        def witness(sel, k, h):
+            calls.append(k)
+            i = int(d[sel].min()) - 1
+            return float(i + 1 - f[i]), ((0, i), (0, i))
+        monkeypatch.setattr(geometry, "_witness", witness)
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 34), 100, 257, 1000]:
+            d = np.arange(1.0, n + 1)[None, :]
+            plus = np.ones_like(d, dtype=bool)
+            for c in {0, 1, n // 3, n // 2, n - 1, n,
+                      *rng.integers(0, n + 1, 3).tolist()}:
+                flat = np.r_[np.full(c, -1e-9), np.full(n - c, 1e9)]
+                steep = np.r_[np.full(c, -1e9), np.full(n - c, 1e-9)]
+                ramp = np.sort(rng.standard_normal(n) ** 3)
+                ramp -= ramp[c - 1] if c else ramp[0] - 1.0
+                rough = rng.standard_normal(n)
+                for f, monotone in ((flat, True), (steep, True),
+                                    (ramp, True), (rough, False)):
+                    if monotone:
+                        expected = uncropped_bisect_pack(d, plus, 1.0, 2)
+                    calls.clear()
+                    got = _search_pack(d, plus, 1.0, 2)
+                    assert len(calls) <= 3 * n.bit_length() + 2
+                    if monotone:
+                        assert got == expected
 
     def test_witness_breaks_d2_ties_by_hypot(self):
         # 17^2 + 52^2 = 28^2 + 47^2 = 2993, and np.hypot may round the two

@@ -25,9 +25,11 @@ flushed term is below the last bit of any sum.
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
 trial reuse, and keeps its L-BFGS memory with the pairs' Gram matrix, so a
-direction applies H0 once. Its cell arrays live on one flat band of the
-row-major grid (``_Stiffness``), so the cell differences and the stiffness
-scatter are contiguous 1-D slices, not strided 2-D views. The public
+direction applies H0 once. Its node and cell arrays live on the row-major
+box of the inside nodes, collar included (``_Stiffness``), so the cell
+differences and the stiffness scatter are contiguous 1-D slices, not
+strided 2-D views, and they scale with the domain's box, not with the
+grid. The public
 kernels stay on the 2-D grid and are the reference the tests hold the
 solver to.
 """
@@ -272,14 +274,13 @@ def _invert_lower(L: np.ndarray) -> np.ndarray:
 def _hat_pairs(hats: np.ndarray):
     """(pairs, Q, Dq) for the 1-D hat matrix h: the pairs k = (I, I') of
     overlapping hats, |I - I'| <= 1, with Q[i, k] = h[i, I] h[i, I'] and
-    Dq[i, k] = h[i + 1, I] h[i, I'] + h[i, I] h[i + 1, I'] (h = 0 past the
-    last node)."""
+    Dq[i, k] = h[i + 1, I] h[i, I'] + h[i, I] h[i + 1, I'] for the first
+    n - 1 nodes."""
     nc = hats.shape[1]
     pairs = np.array([(I, I + d) for I in range(nc) for d in (-1, 0, 1)
                       if 0 <= I + d < nc])
     a, b = hats[:, pairs[:, 0]], hats[:, pairs[:, 1]]
-    dq = a[1:] * b[:-1] + a[:-1] * b[1:]
-    return pairs, a * b, np.vstack([dq, np.zeros((1, len(pairs)))])
+    return pairs, a * b, a[1:] * b[:-1] + a[:-1] * b[1:]
 
 
 class _Stiffness:
@@ -297,8 +298,8 @@ class _Stiffness:
     keeps H0 >= 0.2 D.
 
     The coarse nodes lie _COARSE fine nodes apart, anchored at the collar
-    row and column before the first inside node. P is never stored: on the
-    bounding box of the inside nodes (collar included) the bilinear
+    row and column before the first inside node, and are numbered
+    row-major over the box. P is never stored: on the box the bilinear
     prolongation is the tensor product of the 1-D hat matrices px and py,
     so P^T v = px^T V py and P z = px Z py^T at the inside nodes. Abar is
     A with its diagonal floored as D floors it, which keeps Ac definite
@@ -315,58 +316,45 @@ class _Stiffness:
     no active node, or when the factorization fails, H0 is the one-level
     part until the next build.
     ``h0`` and ``h0_quad`` take a vector with its restriction P^T to every
-    coarse node whose hat covers an inside node, which the solver forms
-    once per gradient and keeps per pair.
+    coarse node of the box, which the solver forms once per gradient and
+    keeps per pair; W's columns are zero off the active nodes.
 
-    Every cell array lives on one flat band of the row-major grid: nodes
-    [lo, hi) from one row before the first inside node to one row after the
-    last, and L = hi - lo - ny cells, cell k based at band node k with its
-    +x corner at k + ny and its +y corner at k + 1. The differences and the
-    scatter are then contiguous 1-D slices. The band covers every cell with
-    an inside corner; the cells based in the last column wrap into the next
-    row, but all their corners lie on the outside collar, so their
-    differences are 0 and they scatter only to outside nodes, which the
-    gather drops. The band and box buffers are reused."""
+    Every cell array lives on the box of the inside nodes, collar row and
+    column included, in row-major order: with bx x by box nodes there are
+    L = (bx - 1) by cells, cell k based at box node k with its +x corner
+    at k + by and its +y corner at k + 1. The differences and the scatter
+    are then contiguous 1-D slices, and every array scales with the box,
+    not with the grid. The box holds every cell with an inside corner; the
+    cells based in its last column wrap into the next row, but the box's
+    first and last columns are collar, so their differences are 0 and
+    they scatter only to outside nodes, which the gather drops. The box
+    and scatter buffers are reused."""
 
     def __init__(self, inside: np.ndarray):
-        flat = np.flatnonzero(inside.ravel())
-        ny = inside.shape[1]
-        lo, hi = flat[0] - ny, flat[-1] + ny + 1  # in the grid by the collar
-        self.ny, self.L = ny, hi - lo - ny
-        self.band_inside = inside.ravel()[lo:hi]
-        self.nodes = np.zeros(hi - lo)  # zero outside the inside nodes
-        self.cells = np.zeros(hi - lo)  # scatter buffer
-        self.pg = self.D = self.W = None
-        self.updates = 0
-        # the box from collar to collar; its cell (i, j), based at box node
-        # (i, j), is grid cell flat (i + r0) ny + j + c0, band cell that - lo
         rows = np.flatnonzero(inside.any(axis=1))
         cols = np.flatnonzero(inside.any(axis=0))
-        r0, c0 = rows[0] - 1, cols[0] - 1
-        self.box_inside = inside[r0:rows[-1] + 2, c0:cols[-1] + 2]
+        # a contiguous copy, so that its ravel() in the gather is a view
+        self.box_inside = inside[rows[0] - 1:rows[-1] + 2,
+                                 cols[0] - 1:cols[-1] + 2].copy()
         bx, by = self.box_inside.shape
-        self.box = np.zeros((bx, by))  # zero outside
-        self.box_cells = (inside.shape, lo, r0, c0)
+        self.by, self.L = by, (bx - 1) * by
+        self.box = np.zeros((bx, by))  # zero outside the inside nodes
+        self.cells = np.zeros(bx * by)  # scatter buffer
+        self.pg = self.D = self.W = None
+        self.updates = 0
         # edges with both ends inside, by their base node
-        both = self.box_inside[:-1] & self.box_inside[1:]
-        self.x_edges = np.vstack([both, np.zeros((1, by), bool)])
-        both = self.box_inside[:, :-1] & self.box_inside[:, 1:]
-        self.y_edges = np.hstack([both, np.zeros((bx, 1), bool)])
+        self.x_edges = self.box_inside[:-1] & self.box_inside[1:]
+        self.y_edges = self.box_inside[:-1, :-1] & self.box_inside[:-1, 1:]
         self.px, self.py = _hats(bx), _hats(by)
-        self.keep = self.px.T @ self.box_inside @ self.py > 0.0
-        self.nc = int(self.keep.sum())
-        self.coarse = np.zeros(self.keep.shape)  # zero at dropped nodes
-        self.weight = self.restrict(np.ones(flat.size))
+        self.weight = self.restrict(1.0)
         # Ac[(I, J), (I', J')] = Ax[(I, I'), (J, J')] over the pairs of
-        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1
+        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1, with the
+        # coarse nodes numbered row-major
         xpairs, self.qx, self.dx = _hat_pairs(self.px)
         ypairs, self.qy, self.dy = _hat_pairs(self.py)
-        number = np.full(self.keep.shape, -1)
-        number[self.keep] = np.arange(self.nc)
-        row = number[xpairs[:, None, 0], ypairs[None, :, 0]]
-        col = number[xpairs[:, None, 1], ypairs[None, :, 1]]
-        entry = np.flatnonzero((row >= 0) & (col >= 0))
-        self.entries = row.ravel()[entry], col.ravel()[entry], entry
+        ncy = self.py.shape[1]
+        self.entries = [(xpairs[:, None, e] * ncy + ypairs[None, :, e]).ravel()
+                        for e in (0, 1)]
 
     def update(self, pg: np.ndarray) -> None:
         self.pg = pg
@@ -379,85 +367,81 @@ class _Stiffness:
         self.updates += 1
 
     def _coarsen(self, floored: np.ndarray, lifted: np.ndarray) -> None:
-        """Build W from Ac on the active coarse nodes, those with at most
-        a share _FRINGE of their hat weight on ``lifted`` nodes. Abar's
-        diagonal is ``floored`` and its off-diagonal -pg on each edge with
-        both ends inside, so with Qx[i, (I, I')] = px[i, I] px[i, I'] and
-        Dx[i, (I, I')] = px[i + 1, I] px[i, I'] + px[i, I] px[i + 1, I']
-        (and Qy, Dy from py), the entry of P^T Abar P between hats (I, J)
-        and (I', J') is Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy -
-        Dx^T Ex Qy - Qx^T Ey Dy, where F is the floored diagonal and Ex, Ey
-        are pg on the x and y edges, all on the box. The old W goes first,
-        so at most two coarse matrices are alive at once."""
+        """Build W from Ac on the active coarse nodes, those whose hat
+        covers inside nodes with at most a share _FRINGE of its weight on
+        ``lifted`` ones. Abar's diagonal is ``floored`` and its
+        off-diagonal -pg on each edge with both ends inside, so with
+        Qx[i, (I, I')] = px[i, I] px[i, I'] and Dx[i, (I, I')] =
+        px[i + 1, I] px[i, I'] + px[i, I] px[i + 1, I'] (and Qy, Dy from
+        py), the entry of P^T Abar P between hats (I, J) and (I', J') is
+        Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy - Dx^T Ex Qy - Qx^T Ey Dy,
+        where F is the floored diagonal and Ex, Ey are pg on the x and y
+        edges, all on the box. The old W goes first, so at most two coarse
+        matrices are alive at once."""
         self.W = None
-        active = np.flatnonzero(self.restrict(lifted.astype(float))
-                                <= _FRINGE * self.weight)
+        active = np.flatnonzero((self.weight > 0.0) & (
+            self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
         if not active.size:
             return
-        Ax = self._galerkin(floored)
-        number = np.full(self.nc, -1)
+        Ax = self._galerkin(floored).ravel()
+        number = np.full(self.weight.size, -1)
         number[active] = np.arange(active.size)
-        rows, cols, entry = self.entries
-        rows, cols = number[rows], number[cols]
+        rows, cols = (number[e] for e in self.entries)
         sub = (rows >= 0) & (cols >= 0)
         Ac = np.zeros((active.size, active.size))
-        Ac[rows[sub], cols[sub]] = Ax.ravel()[entry[sub]]
+        Ac[rows[sub], cols[sub]] = Ax[sub]
         try:
             L = np.linalg.cholesky(Ac)
         except np.linalg.LinAlgError:
             return
         del Ac
         # W's columns run over every coarse node, zero off the active ones
-        self.W = np.zeros((active.size, self.nc))
+        self.W = np.zeros((active.size, self.weight.size))
         self.W[:, active] = _invert_lower(L)
 
     def _galerkin(self, floored: np.ndarray) -> np.ndarray:
         """Ax of ``_coarsen``, in a call of its own so that its box-sized
         temporaries are freed before Ac is allocated."""
-        shape, lo, r0, c0 = self.box_cells
-        grid_pg = np.zeros(shape)
-        grid_pg.ravel()[lo:lo + self.L] = self.pg
-        box_pg = grid_pg[r0:r0 + self.box.shape[0], c0:c0 + self.box.shape[1]]
-        ex = np.where(self.x_edges, box_pg, 0.0)
-        ey = np.where(self.y_edges, box_pg, 0.0)
+        pg = self.pg.reshape(self.x_edges.shape)
+        ex = np.where(self.x_edges, pg, 0.0)
+        ey = np.where(self.y_edges, pg[:, :-1], 0.0)
         self.box[self.box_inside] = floored
         return ((self.qx.T @ self.box - self.dx.T @ ex) @ self.qy
-                - (self.qx.T @ ey) @ self.dy)
+                - (self.qx[:-1].T @ ey) @ self.dy)
 
     def restrict(self, v: np.ndarray) -> np.ndarray:
-        """P^T v on the coarse nodes whose hat covers an inside node."""
+        """P^T v on every coarse node, row-major."""
         self.box[self.box_inside] = v
-        return (self.px.T @ self.box @ self.py)[self.keep]
+        return (self.px.T @ self.box @ self.py).ravel()
 
     def _spread(self, base, sx, sy) -> np.ndarray:
-        """Inside values of the nodal sums of the band cell terms: base at
-        each cell's base corner, sx at its +x and sy at its +y corner."""
+        """Inside values of the nodal sums of the cell terms: base at each
+        cell's base corner, sx at its +x and sy at its +y corner."""
         cells, L = self.cells, self.L
         cells[:L] = base
         cells[L:] = 0.0
-        cells[self.ny:] += sx
+        cells[self.by:] += sx
         cells[1:L + 1] += sy
-        return cells[self.band_inside]
+        return cells[self.box_inside.ravel()]
 
     def matvec(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-        """A v on the inside nodes from the band cell differences vx, vy of
-        v."""
+        """A v on the inside nodes from the cell differences vx, vy of v."""
         sx, sy = self.pg * vx, self.pg * vy
         return self._spread(-(sx + sy), sx, sy)
 
     def differences(self, v: np.ndarray):
-        """Band cell differences (dx v, dy v) of the inside values v."""
-        nodes, L = self.nodes, self.L
-        nodes[self.band_inside] = v
-        return nodes[self.ny:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
+        """Cell differences (dx v, dy v) of the inside values v."""
+        self.box[self.box_inside] = v
+        nodes, L = self.box.ravel(), self.L
+        return nodes[self.by:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
     def h0(self, q: np.ndarray, qc: np.ndarray) -> np.ndarray:
         """H0 q, with qc = P^T q."""
         v = self.D * q
         out = v - (_CHEB * self.D) * self.matvec(*self.differences(v))
         if self.W is not None:
-            self.coarse[self.keep] = (self.W @ qc) @ self.W
-            out += (self.px @ self.coarse @ self.py.T)[self.box_inside]
+            z = ((self.W @ qc) @ self.W).reshape(self.px.shape[1], -1)
+            out += (self.px @ z @ self.py.T)[self.box_inside]
         return out
 
     def h0_quad(self, y: np.ndarray, yc: np.ndarray) -> float:
@@ -585,7 +569,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     def evaluate(x):
         """One pass at x >= 0: (log lambda, log G, cache), or None when the
         weighted mass is not positive. With M = max x, t = x / M and the
-        band cell differences ux, uy (not divided by h), gn = (ux^2 + uy^2) /
+        box cell differences ux, uy (not divided by h), gn = (ux^2 + uy^2) /
         max(ux^2 + uy^2); the cache keeps t^(p-1) and gn^(p/2-1), from which
         the p-th powers of the sums are one product away."""
         M = x.max()
@@ -658,7 +642,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     g, kkt = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
     gc = stiff.restrict(g)
-    memory = _Memory(x.size, stiff.nc)
+    memory = _Memory(x.size, gc.size)
     it = 0
     tau = 0.0
     while True:

@@ -57,35 +57,12 @@ class ViscosityReport:
 
 
 def _stencils(u: np.ndarray, h: float):
-    ux = np.zeros_like(u)
-    uy = np.zeros_like(u)
-    uxx = np.zeros_like(u)
-    uyy = np.zeros_like(u)
-    uxy = np.zeros_like(u)
-    # each stencil is built in place in its output's interior, with no
-    # full-size temporaries, and in the operation order of the plain
-    # expression (u[2:] - u[:-2]) / (2 h) and its kin, so bit for bit alike
-    out = ux[1:-1, :]
-    np.subtract(u[2:, :], u[:-2, :], out=out)
-    out /= 2 * h
-    out = uy[:, 1:-1]
-    np.subtract(u[:, 2:], u[:, :-2], out=out)
-    out /= 2 * h
-    out = uxx[1:-1, :]
-    np.multiply(2, u[1:-1, :], out=out)
-    np.subtract(u[2:, :], out, out=out)
-    out += u[:-2, :]
-    out /= h ** 2
-    out = uyy[:, 1:-1]
-    np.multiply(2, u[:, 1:-1], out=out)
-    np.subtract(u[:, 2:], out, out=out)
-    out += u[:, :-2]
-    out /= h ** 2
-    out = uxy[1:-1, 1:-1]
-    np.subtract(u[2:, 2:], u[2:, :-2], out=out)
-    out -= u[:-2, 2:]
-    out += u[:-2, :-2]
-    out /= 4 * h ** 2
+    ux, uy, uxx, uyy, uxy = (np.zeros_like(u) for _ in range(5))
+    ux[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2 * h)
+    uy[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2 * h)
+    uxx[1:-1, :] = (u[2:, :] - 2 * u[1:-1, :] + u[:-2, :]) / h ** 2
+    uyy[:, 1:-1] = (u[:, 2:] - 2 * u[:, 1:-1] + u[:, :-2]) / h ** 2
+    uxy[1:-1, 1:-1] = (u[2:, 2:] - u[2:, :-2] - u[:-2, 2:] + u[:-2, :-2]) / (4 * h ** 2)
     return ux, uy, uxx, uyy, uxy
 
 

@@ -632,29 +632,30 @@ def two_loop_reference(g, pairs, H0):
     return -q
 
 
-def band_layout(inside):
-    """(lo, L) of the solver's flat band, from the inside nodes' row-major
-    numbers: it starts one row before the first inside node and ends one
-    row after the last, and holds L = hi - lo - ny cells."""
-    nx, ny = inside.shape
-    nodes = [i * ny + j for i in range(nx) for j in range(ny) if inside[i, j]]
-    lo, hi = nodes[0] - ny, nodes[-1] + ny + 1
-    return lo, hi - lo - ny
+def box_layout(inside):
+    """(r0, c0, bx, by) of the solver's box: from the collar row and column
+    before the first inside node to those after the last, bx x by nodes,
+    based at grid node (r0, c0)."""
+    rows = [i for i in range(inside.shape[0]) if inside[i].any()]
+    cols = [j for j in range(inside.shape[1]) if inside[:, j].any()]
+    r0, c0 = rows[0] - 1, cols[0] - 1
+    return r0, c0, rows[-1] + 2 - r0, cols[-1] + 2 - c0
 
 
-def to_band(pg, inside, fill):
-    """The band cell array of the 2-D cell values pg: cell (i, j) goes to
-    i * ny + j - lo, and the band cells that are no 2-D cell (based in the
-    last column) keep the values of ``fill``."""
-    lo, L = band_layout(inside)
-    ny = inside.shape[1]
-    band = np.array(fill, dtype=float)
-    assert band.shape == (L,)
-    for i in range(pg.shape[0]):
-        for j in range(pg.shape[1]):
-            if 0 <= i * ny + j - lo < L:
-                band[i * ny + j - lo] = pg[i, j]
-    return band
+def to_box(pg, inside, fill):
+    """The solver's cell array of the 2-D cell values pg: box cell (i, j),
+    based at box node (i, j), is 2-D cell (i + r0, j + c0) for j < by - 1,
+    and the wrap column j = by - 1 keeps the values of ``fill``."""
+    r0, c0, bx, by = box_layout(inside)
+    cells = np.array(fill, dtype=float).reshape(bx - 1, by)
+    cells[:, :-1] = pg[r0:r0 + bx - 1, c0:c0 + by - 1]
+    return cells.ravel()
+
+
+def cell_count(inside):
+    """L, the number of the solver's cells."""
+    _, _, bx, by = box_layout(inside)
+    return (bx - 1) * by
 
 
 def disk_inside():
@@ -673,7 +674,7 @@ def offset_inside():
 def random_stiffness(rng, decades, inside, flushed=None):
     """(stiffness, pg) on the inside nodes, pg log-uniform over the given
     number of decades on every 2-D cell, also those with no inside corner,
-    and random on the band's wrap cells, which must change nothing; pg is
+    and random on the box's wrap column, which must change nothing; pg is
     exactly 0 on the cells where ``flushed`` is set, as where large p
     flushes |grad u|^(p-2)."""
     pg = 10.0 ** rng.uniform(-decades, 0.0, (inside.shape[0] - 1,
@@ -681,7 +682,7 @@ def random_stiffness(rng, decades, inside, flushed=None):
     if flushed is not None:
         pg[flushed] = 0.0
     stiff = _Stiffness(inside)
-    stiff.update(to_band(pg, inside, rng.random(band_layout(inside)[1])))
+    stiff.update(to_box(pg, inside, rng.random(cell_count(inside))))
     return stiff, pg
 
 
@@ -699,7 +700,7 @@ def check_gram_direction(rng, inside):
         if k == 7:
             y = -s  # s . y < 0: skipped, though still in the ring
         pairs.append((s, y))
-    mem = _Memory(n, stiff.nc)
+    mem = _Memory(n, stiff.weight.size)
     for s, y in pairs:
         mem.push(s, y, stiff.restrict(y))
     assert len(mem) == _MEMORY
@@ -790,21 +791,48 @@ class TestLbfgsMemory:
         # corner, against zero there: D, H0 and y . H0 y bit for bit
         rng = np.random.default_rng(41)
         inside = make_inside()
-        L = band_layout(inside)[1]
+        L = cell_count(inside)
         pg = 10.0 ** rng.uniform(-3.0, 0.0, (inside.shape[0] - 1,
                                              inside.shape[1] - 1))
         touched = inside[:-1, :-1] | inside[1:, :-1] | inside[:-1, 1:]
         assert not touched.all()
         junk, clean = _Stiffness(inside), _Stiffness(inside)
-        junk.update(to_band(pg, inside, 10.0 ** rng.uniform(-3.0, 3.0, L)))
-        clean.update(to_band(np.where(touched, pg, 0.0), inside,
-                             np.zeros(L)))
+        junk.update(to_box(pg, inside, 10.0 ** rng.uniform(-3.0, 3.0, L)))
+        clean.update(to_box(np.where(touched, pg, 0.0), inside,
+                            np.zeros(L)))
         assert np.array_equal(junk.D, clean.D)
         assert np.array_equal(junk.W, clean.W)
         q = rng.standard_normal(junk.D.size)
         qc = junk.restrict(q)
         assert np.array_equal(junk.h0(q, qc), clean.h0(q, qc))
         assert junk.h0_quad(q, qc) == clean.h0_quad(q, qc)
+
+    def test_memory_scales_with_the_box_not_the_grid(self):
+        # a small off-centre disk in a wide grid: building the stiffness,
+        # its first update (which builds the coarse matrix) and one H0 q
+        # allocate what they do on a grid cropped close to the disk. A
+        # layout spanning the full grid width allocated ~6x as much here
+        grid = Grid(60, 600, 0.05, (0.0, 0.0))
+        wide = rasterize([Disk((1.5, 15.0), 1.2)], grid).inside
+        cols = np.flatnonzero(wide.any(axis=0))
+        tight = wide[:, cols[0] - 3:cols[-1] + 4].copy()
+        rng = np.random.default_rng(43)
+        peaks = []
+        for inside in (wide, tight):
+            warm = _Stiffness(inside)  # numpy.linalg's first use is not counted
+            pg = 10.0 ** rng.uniform(-2.0, 0.0, warm.L)
+            warm.update(pg)
+            q = rng.standard_normal(int(inside.sum()))
+            tracemalloc.start()
+            try:
+                stiff = _Stiffness(inside)
+                stiff.update(pg)
+                stiff.h0(q, stiff.restrict(q))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert stiff.W is not None
+        assert peaks[0] <= 1.1 * peaks[1]
 
 
 class TestTwoConeBound:

@@ -206,9 +206,14 @@ def parse_config(raw: dict) -> RunConfig:
 
     v = raw.get("viscosity", {})
     _require_keys(v, {"kink_tol", "c_tol", "eps_regime"}, set(), "viscosity")
+    # None means auto for both thresholds; a tolerance must be > 0
     visc = CheckOpts(**{key: None if x is None and key != "c_tol"
-                        else _number(x, f"viscosity.{key}")
+                        else _number(x, f"viscosity.{key}",
+                                     positive=key != "eps_regime")
                         for key, x in v.items()})
+    if visc.eps_regime is not None and visc.eps_regime < 0:
+        raise ConfigError(f"viscosity.eps_regime must be >= 0, "
+                          f"got {v['eps_regime']!r}")
 
     return RunConfig(grid=grid, domain=domain, make_weight=make_weight,
                      zero_order=zo, p_list=p_list, solver=solver, pack=pack,

@@ -8,12 +8,12 @@ is ever active: at a zero node the mass and C parts of the gradient carry
 t^(p-1) = 0 and every energy cell term is -pg (ux + uy) with ux, uy >= 0
 or pg (0 - x_base) with x_base >= 0, so the gradient there is a sum of
 nonpositive terms, and an L-BFGS-B free set would hold every node; the
-solver keeps none. Its initial Hessian is two-level on the
-lagged-diffusivity (Kacanov) stiffness A(u): one degree-1
-Chebyshev-Jacobi step D - 0.4 D A D with D = 1 / diag A, so the contrast
-of |grad u|^(p-2) at large p does not set the iteration count, plus the
-Galerkin correction P (P^T A P)^-1 P^T from a grid 8 times coarser, so
-the count grows ~1.3x, not ~2.4x, per doubling of the grid. A solve is
+solver keeps none. Its initial Hessian is a symmetric two-grid cycle on
+the lagged-diffusivity (Kacanov) stiffness A(u): a Jacobi step 0.9 D with
+D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
+the iteration count, a Galerkin coarse solve of its residual on a grid 8
+times coarser, so the count grows ~1.3x, not ~2.4x, per doubling of the
+grid, and a second Jacobi step. A solve is
 converged only when its relative KKT residual is below the tolerance,
 and the returned field has unit weighted p-mass. All p-th roots and
 normalizations go through log space so p = 64 stays finite in doubles,
@@ -55,6 +55,7 @@ _CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV * y.y
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
                 # in D A for a Jacobi-scaled spectrum on [1/2, 2]
+_OMEGA = 0.9    # damping of the two-grid cycle's Jacobi smoother
 _COARSE = 8     # node spacing of H0's coarse grid, in fine nodes
 _REFRESH = 15   # accepted iterations between builds of the coarse stiffness
 _FRINGE = 0.1   # largest share of a coarse hat's weight on floored nodes
@@ -285,17 +286,21 @@ def _hat_pairs(hats: np.ndarray):
 
 class _Stiffness:
     """The lagged-diffusivity cell stiffness A(u) on the inside nodes and the
-    two-level L-BFGS initial Hessian built on it,
-    H0 = D - _CHEB D A D + P Ac^-1 P^T with Ac = P^T Abar P.
+    L-BFGS initial Hessian built on it: the symmetric two-grid cycle
+    x = M q, x += P Ac^-1 P^T (q - A x), x += M (q - A x), with M = _OMEGA D
+    and Ac = P^T Abar P, while a coarse factor exists, else the one-level
+    step D - _CHEB D A D. As an operator the cycle is
+    H0 = 2 M - M A M + (I - M A) P Ac^-1 P^T (I - A M).
 
     A's quadratic form is v . A v = sum over cells of pg ((dx v)^2 +
     (dy v)^2), with dx, dy the differences from each cell's base corner and
     v zero outside, and D = 1 / diag A floored at _EPS_D of its max. By
-    Gershgorin the spectrum of D A lies in [0, 2], so the one-level part is
-    >= (1 - 2 _CHEB) D on all inside nodes; it smooths, but cannot remove
-    the h^-2 spread of A. The coarse term does (two-level additive subspace
-    correction, Xu, SIAM Review 1992), and being positive semidefinite it
-    keeps H0 >= 0.2 D.
+    Gershgorin the spectrum of D A lies in [0, 2], so on all inside nodes
+    2 M - M A M >= 2 _OMEGA (1 - _OMEGA) D = 0.18 D and the one-level step
+    is >= (1 - 2 _CHEB) D = 0.2 D; the coarse term is positive
+    semidefinite, so H0 is positive definite either way. The smoothing
+    steps cannot remove the h^-2 spread of A; the coarse solve does
+    (two-grid method, Xu, SIAM Review 1992).
 
     The coarse nodes lie _COARSE fine nodes apart, anchored at the collar
     row and column before the first inside node, and are numbered
@@ -305,19 +310,17 @@ class _Stiffness:
     A with its diagonal floored as D floors it, which keeps Ac definite
     where large p flushes pg to 0. P's columns are the hats of the active
     coarse nodes: those whose hat covers inside nodes, at most a share
-    _FRINGE of its weight on floored ones. Where D is floored A is nearly
-    flat and Abar is its floor, so the coarse solve of a hat reaching far
-    there amplifies the correction by up to 1 / _EPS_D into the flat
-    region. With every hat, the boundary-strip iterates filled there with
-    values whose powers sit near underflow, and its sweep ran ~45 %
-    slower at about the same iteration count. Ac is assembled in three
-    matrix products (``_coarsen``) every ``_REFRESH`` calls to ``update``
-    and kept as W = L^-1 of its Cholesky factor L, so Ac^-1 = W^T W; with
-    no active node, or when the factorization fails, H0 is the one-level
-    part until the next build.
-    ``h0`` and ``h0_quad`` take a vector with its restriction P^T to every
-    coarse node of the box, which the solver forms once per gradient and
-    keeps per pair; W's columns are zero off the active nodes.
+    _FRINGE of its weight on floored ones, where A is nearly flat and the
+    coarse solve of a far-reaching hat amplifies the correction by up to
+    1 / _EPS_D. Ac is assembled in three matrix products (``_coarsen``)
+    every ``_REFRESH`` calls to ``update`` and kept as W = L^-1 of its
+    Cholesky factor L, so Ac^-1 = W^T W; W's columns run over every coarse
+    node of the box, zero off the active ones. No factor is built while
+    more than a share _FRINGE of the inside nodes is floored (92-99 % on
+    the boundary strip, whose one or two active hats cost the cycle
+    iterations), with no active node, or when the factorization fails.
+    ``h0_quad`` is the additive two-level form y . (D - _CHEB D A D) y +
+    |W P^T y|^2, which scales H0 in the two-loop recursion.
 
     Every cell array lives on the box of the inside nodes, collar row and
     column included, in row-major order: with bx x by box nodes there are
@@ -379,6 +382,8 @@ class _Stiffness:
         edges, all on the box. The old W goes first, so at most two coarse
         matrices are alive at once."""
         self.W = None
+        if lifted.mean() > _FRINGE:
+            return
         active = np.flatnonzero((self.weight > 0.0) & (
             self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
         if not active.size:
@@ -435,22 +440,27 @@ class _Stiffness:
         nodes, L = self.box.ravel(), self.L
         return nodes[self.by:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
-    def h0(self, q: np.ndarray, qc: np.ndarray) -> np.ndarray:
-        """H0 q, with qc = P^T q."""
-        v = self.D * q
-        out = v - (_CHEB * self.D) * self.matvec(*self.differences(v))
-        if self.W is not None:
-            z = ((self.W @ qc) @ self.W).reshape(self.px.shape[1], -1)
-            out += (self.px @ z @ self.py.T)[self.box_inside]
-        return out
+    def h0(self, q: np.ndarray) -> np.ndarray:
+        """H0 q: the two-grid cycle with a coarse factor, else one step."""
+        if self.W is None:
+            v = self.D * q
+            return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
+        M = _OMEGA * self.D
+        x = M * q
+        r = q - self.matvec(*self.differences(x))
+        z = ((self.W @ self.restrict(r)) @ self.W).reshape(self.px.shape[1], -1)
+        x += (self.px @ z @ self.py.T)[self.box_inside]
+        x += M * (q - self.matvec(*self.differences(x)))
+        return x
 
-    def h0_quad(self, y: np.ndarray, yc: np.ndarray) -> float:
-        """y . H0 y, with yc = P^T y and no scatter."""
+    def h0_quad(self, y: np.ndarray) -> float:
+        """y . (D - _CHEB D A D) y + |W P^T y|^2, no scatter: the additive
+        two-level form, whose ratio to s . y scales H0."""
         v = self.D * y
         vx, vy = self.differences(v)
         quad = float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
         if self.W is not None:
-            wy = self.W @ yc
+            wy = self.W @ self.restrict(y)
             quad += float(wy @ wy)
         return quad
 
@@ -459,14 +469,12 @@ class _Memory:
     """The last ``_MEMORY`` curvature pairs (s, y), as rows of S and Y, with
     their Gram matrix SY[i, j] = s_i . y_j, so that both loops of the
     two-loop recursion run on m x m scalars around one application of the
-    initial Hessian. Yc holds the restrictions P^T y of the pairs for the
-    coarse term of H0. ``order`` lists the live slots oldest first; the
+    initial Hessian. ``order`` lists the live slots oldest first; the
     other rows hold zeros or old pairs and get zero coefficients."""
 
-    def __init__(self, n: int, nc: int):
+    def __init__(self, n: int):
         self.S = np.zeros((_MEMORY, n))
         self.Y = np.zeros((_MEMORY, n))
-        self.Yc = np.zeros((_MEMORY, nc))
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
 
@@ -476,21 +484,19 @@ class _Memory:
     def clear(self) -> None:
         self.order.clear()
 
-    def push(self, s: np.ndarray, y: np.ndarray, yc: np.ndarray) -> None:
-        """Store a pair of finite vectors with yc = P^T y, replacing the
-        oldest when full."""
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Store a pair of finite vectors, replacing the oldest when full."""
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
-        self.S[slot], self.Y[slot], self.Yc[slot] = s, y, yc
+        self.S[slot], self.Y[slot] = s, y
         self.SY[slot, :] = self.Y @ s
         self.SY[:, slot] = self.S @ y
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, gc: np.ndarray,
-                  stiff: _Stiffness) -> np.ndarray:
-        """-H g, with gc = P^T g, by the two-loop recursion over the stored
-        pairs with the initial Hessian gamma H0 of ``stiff``. Pairs with
-        s . y <= 0 are skipped, and gamma = s . y / y . H0 y of the newest
-        kept pair."""
+    def direction(self, g: np.ndarray, stiff: _Stiffness) -> np.ndarray:
+        """-H g by the two-loop recursion over the stored pairs with the
+        initial Hessian gamma H0 of ``stiff``. Pairs with s . y <= 0 are
+        skipped, and gamma = s . y / ``h0_quad(y)`` of the newest kept
+        pair."""
         sg = (self.S @ g).tolist()
         sy, ys = self.SY.tolist(), self.SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
@@ -503,9 +509,8 @@ class _Memory:
         gamma = 1.0
         if hist:
             new = hist[-1]
-            gamma = sy[new][new] / stiff.h0_quad(self.Y[new], self.Yc[new])
-        av = np.array(a)
-        r = stiff.h0(g - av @ self.Y, gc - av @ self.Yc)
+            gamma = sy[new][new] / stiff.h0_quad(self.Y[new])
+        r = stiff.h0(g - np.array(a) @ self.Y)
         r *= gamma
         yr = (self.Y @ r).tolist()
         c = [0.0] * _MEMORY
@@ -527,15 +532,13 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     docstring), so no bound constraint is active and no free set is kept.
     It runs on the Gram matrix of the stored pairs around one application
     of the initial Hessian gamma H0 (Nocedal-Wright 7.2, which allows any
-    positive definite H0 at each step): H0 = D - _CHEB D A D +
-    P (P^T Abar P)^-1 P^T, A = A(u) the cell stiffness at the current
-    iterate weighted by the lagged diffusivity |grad u|^(p-2), D = 1 / diag A
-    floored at ``_EPS_D`` of its max, Abar = A with that floored diagonal
-    and P the bilinear prolongation from the coarse nodes ``_COARSE`` fine
-    nodes apart that lie mostly on unfloored nodes (``_Stiffness``). The
-    coarse matrix is rebuilt every ``_REFRESH`` iterations; P^T df is formed
-    once per gradient, and each pair keeps P^T y as a difference of those.
-    The direction is reset to -D df when it is not a descent direction.
+    positive definite H0 at each step). H0 is the symmetric two-grid cycle
+    of ``_Stiffness`` on A = A(u), the cell stiffness at the current
+    iterate weighted by the lagged diffusivity |grad u|^(p-2): a Jacobi
+    step, a Galerkin coarse solve from a grid ``_COARSE`` times coarser,
+    rebuilt every ``_REFRESH`` iterations, and a second Jacobi step. The
+    direction is reset to -D df, D = 1 / diag A floored at ``_EPS_D`` of
+    its max, when it is not a descent direction.
     The line search backtracks on the projected arc max(u + tau d, 0) and
     accepts only a strict Armijo decrease with positive weighted mass, so
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
@@ -641,8 +644,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     loglam, logG, cache = ev
     g, kkt = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
-    gc = stiff.restrict(g)
-    memory = _Memory(x.size, gc.size)
+    memory = _Memory(x.size)
     it = 0
     tau = 0.0
     while True:
@@ -657,7 +659,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             break
         step = None
         if memory:
-            d = memory.direction(g, gc, stiff)
+            d = memory.direction(g, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
@@ -676,11 +678,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             callback(loglam)
         gt, kkt = gradient(xt, loglam, logG, cache)
         del step, cache
-        gct = stiff.restrict(gt)
         s, y = xt - x, gt - g
         if s @ y > _CURV * (y @ y):
-            memory.push(s, y, gct - gc)
-        x, g, gc = xt, gt, gct
+            memory.push(s, y)
+        x, g = xt, gt
 
     u = np.zeros(inside.shape)
     u[inside] = x

@@ -56,6 +56,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="100"):
             parse_config(raw)
 
+    def test_viscosity_auto_and_zero_eps_parse(self, tmp_path):
+        # null thresholds mean auto, and eps_regime = 0 leaves only the
+        # nodes with m u = 0 to the zero regime
+        _, raw = disk_config(tmp_path)
+        raw["viscosity"] = {"kink_tol": None, "c_tol": 0.5, "eps_regime": 0}
+        opts = parse_config(raw).viscosity
+        assert (opts.kink_tol, opts.c_tol, opts.eps_regime) == (None, 0.5, 0.0)
+
     def test_zero_order_must_be_positive(self, tmp_path):
         _, raw = disk_config(tmp_path)
         raw["zero_order"] = {"value": -1.0}
@@ -79,12 +87,13 @@ class TestConfig:
             assert w.sign_changing
 
 
-def check_argv(edit):
+def check_argv(edit, **overrides):
     """Builds `check` argv on a zero field file whose parsed header dict and
-    body lines are passed through `edit` before writing."""
+    body lines are passed through `edit` before writing, under the disk
+    config with `overrides`."""
     def build(tmp_path):
-        path, raw = disk_config(tmp_path)
-        grid = parse_config(raw).grid
+        grid = parse_config(disk_config(tmp_path)[1]).grid
+        path, _ = disk_config(tmp_path, **overrides)
         fpath = tmp_path / "field.csv"
         fieldio.save_array(fpath, grid, np.zeros(grid.shape), "scalar")
         header, *body = fpath.read_text().splitlines()
@@ -99,9 +108,15 @@ def check_flags(*flags):
     """`check` argv on a valid zero field file with `flags` appended (the last
     of a repeated flag wins); "{tmp}" in a flag is the test's tmp_path."""
     def build(tmp_path):
-        argv = check_argv(lambda hd, body: (hd, body))(tmp_path)
+        argv = check_config()(tmp_path)
         return argv + [f.format(tmp=tmp_path) for f in flags]
     return build
+
+
+def check_config(**overrides):
+    """`check` argv on a valid zero field file under the disk config with
+    `overrides`."""
+    return check_argv(lambda hd, body: (hd, body), **overrides)
 
 
 def config_argv(command, *flags, **overrides):
@@ -166,6 +181,14 @@ MALFORMED = {
                                 grid={"nx": None, "ny": 9, "h": 0.25}),
     "viscosity_c_tol_non_numeric": config_argv("limits",
                                                viscosity={"c_tol": "abc"}),
+    # check would scale its regime tolerance by c_tol <= 0 and exclude every
+    # node by a kink_tol <= 0, yet still exit 0
+    "viscosity_c_tol_negative": check_config(viscosity={"c_tol": -1}),
+    "viscosity_c_tol_zero": check_config(viscosity={"c_tol": 0}),
+    "viscosity_kink_tol_negative": check_config(viscosity={"kink_tol": -1}),
+    "viscosity_kink_tol_zero": check_config(viscosity={"kink_tol": 0}),
+    "viscosity_eps_regime_negative": check_config(
+        viscosity={"eps_regime": -1}),
     "seed_non_numeric": config_argv("limits", seed="abc"),
     "solver_not_object": config_argv("sweep", solver=5),
     "weight_not_object": config_argv("limits", weight=[1.0]),

@@ -590,26 +590,34 @@ def dense_prolongation(inside):
 
 
 def dense_h0(pg, inside):
-    """(H0, D, P): H0 = D - 0.4 D A D + P (P^T Abar P)^-1 P^T, with
-    D = 1 / diag A floored at 1e-3 of its max, Abar = A with that floored
-    diagonal, and P the hats with at most a share _FRINGE of their weight
-    on floored nodes; H0 is the one-level part when there is no such hat."""
+    """(B, D, P, G): the initial Hessian B, D = 1 / diag A floored at 1e-3
+    of its max, the hats P of the coarse term and the matrix G of gamma's
+    quadratic form. P holds the hats with at most a share _FRINGE of their
+    weight on floored nodes, none when more than a share _FRINGE of the
+    nodes is floored. Without P, B = G = D - 0.4 D A D. With it, C =
+    P (P^T Abar P)^-1 P^T, Abar = A with the floored diagonal, and B is the
+    symmetric two-grid cycle 2 M - M A M + (I - M A) C (I - A M) with
+    M = 0.9 D, while G = D - 0.4 D A D + C."""
     A = dense_stiffness(pg, inside)
     diag = np.diag(A)
     floored = np.maximum(diag, 1e-3 * diag.max())
     D = 1.0 / floored
-    H0 = np.diag(D) - 0.4 * D[:, None] * A * D[None, :]
+    G = np.diag(D) - 0.4 * D[:, None] * A * D[None, :]
+    lifted = floored > diag
     P = dense_prolongation(inside)
-    P = P[:, (floored > diag) @ P <= _FRINGE * P.sum(axis=0)]
-    if P.shape[1]:
-        Abar = A + np.diag(floored - diag)
-        H0 += P @ np.linalg.inv(P.T @ Abar @ P) @ P.T
-    return H0, D, P
+    P = P[:, (lifted @ P <= _FRINGE * P.sum(axis=0))
+          & (lifted.mean() <= _FRINGE)]
+    if not P.shape[1]:
+        return G, D, P, G
+    C = P @ np.linalg.inv(P.T @ (A + np.diag(floored - diag)) @ P) @ P.T
+    M = np.diag(0.9 * D)
+    E = np.eye(D.size) - M @ A
+    return 2 * M - M @ A @ M + E @ C @ E.T, D, P, G + C
 
 
-def two_loop_reference(g, pairs, H0):
+def two_loop_reference(g, pairs, H0, G):
     """-H g by the textbook two-loop recursion over (s, y) pairs (oldest
-    first) with the dense initial Hessian gamma H0, gamma = s . y / y . H0 y
+    first) with the dense initial Hessian gamma H0, gamma = s . y / y . G y
     of the newest kept pair; pairs with s . y <= 0 are skipped."""
     q = g
     hist = []
@@ -625,7 +633,7 @@ def two_loop_reference(g, pairs, H0):
     gamma = 1.0
     if hist:
         s, y, sy = hist[-1]
-        gamma = sy / (y @ H0 @ y)
+        gamma = sy / (y @ G @ y)
     q = gamma * (H0 @ q)
     for (s, y, sy), a in zip(hist, reversed(alphas)):
         q = q + (a - (y @ q) / sy) * s
@@ -690,8 +698,9 @@ def check_gram_direction(rng, inside):
     """_Memory.direction against the dense two-loop oracle, through a wrap
     of the ring, a pair with s . y <= 0 and a single pair."""
     stiff, pg = random_stiffness(rng, 3.0, inside)
-    H0, D, _ = dense_h0(pg, inside)
+    H0, D, P, G = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
+    assert P.shape[1] > 0
     n = D.size
     pairs = []
     for k in range(_MEMORY + 3):  # wraps the ring
@@ -700,45 +709,55 @@ def check_gram_direction(rng, inside):
         if k == 7:
             y = -s  # s . y < 0: skipped, though still in the ring
         pairs.append((s, y))
-    mem = _Memory(n, stiff.weight.size)
+    mem = _Memory(n)
     for s, y in pairs:
-        mem.push(s, y, stiff.restrict(y))
+        mem.push(s, y)
     assert len(mem) == _MEMORY
 
     def check(g, pairs):
-        d = mem.direction(g, stiff.restrict(g), stiff)
-        ref = two_loop_reference(g, pairs, H0)
+        d = mem.direction(g, stiff)
+        ref = two_loop_reference(g, pairs, H0, G)
         assert np.abs(d - ref).max() <= 1e-10 * np.abs(ref).max()
 
     for _ in range(3):
         check(rng.standard_normal(n), pairs[-_MEMORY:])
     mem.clear()
-    mem.push(*pairs[0], stiff.restrict(pairs[0][1]))
+    mem.push(*pairs[0])
     check(rng.standard_normal(n), pairs[:1])
 
 
 def check_h0(rng, inside, decades, flushed=None):
-    """stiff.h0 column by column against the dense two-level H0 on all
-    inside nodes, symmetric and >= 0.2 D; returns the number of coarse
-    nodes the coarse term uses."""
+    """stiff.h0 column by column against the dense B on all inside nodes,
+    symmetric and >= 0.18 D, and stiff.h0_quad against gamma's dense form
+    G; returns the number of coarse nodes the coarse term uses."""
     stiff, pg = random_stiffness(rng, decades, inside, flushed)
-    ref, D, P = dense_h0(pg, inside)
+    ref, D, P, G = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
     assert (stiff.W is None if P.shape[1] == 0
             else stiff.W.shape[0] == P.shape[1])
-    H0 = np.column_stack([stiff.h0(e, stiff.restrict(e))
-                          for e in np.eye(D.size)])
+    H0 = np.column_stack([stiff.h0(e) for e in np.eye(D.size)])
     scale = np.abs(H0).max()
     assert np.abs(H0 - ref).max() <= 1e-12 * scale
     assert np.abs(H0 - H0.T).max() <= 1e-12 * scale
-    assert np.linalg.eigvalsh(H0).min() >= 0.2 * D.min()
+    q1, q2 = rng.standard_normal((2, D.size))
+    assert abs(q1 @ stiff.h0(q2) - q2 @ stiff.h0(q1)) <= (
+        1e-12 * scale * np.linalg.norm(q1) * np.linalg.norm(q2))
+    # 2 M - M A M >= 2 0.9 (1 - 0.9) D = 0.18 D, as D A has its spectrum in
+    # [0, 2] (Gershgorin), and the coarse term is positive semidefinite
+    assert np.linalg.eigvalsh(H0).min() >= 0.18 * D.min()
     scaled = H0 / np.sqrt(np.outer(D, D))
-    assert np.linalg.eigvalsh(scaled).min() >= 0.2 - 1e-9
+    assert np.linalg.eigvalsh(scaled).min() >= 0.18 - 1e-9
     for _ in range(3):
         y = rng.standard_normal(D.size)
-        assert stiff.h0_quad(y, stiff.restrict(y)) == pytest.approx(
-            y @ ref @ y, rel=1e-12)
+        assert stiff.h0_quad(y) == pytest.approx(y @ G @ y, rel=1e-12)
     return P.shape[1]
+
+
+def flushed_cells(inside, cols):
+    """Cells of the first ``cols`` columns, on which pg is exactly 0."""
+    flushed = np.zeros((inside.shape[0] - 1, inside.shape[1] - 1), bool)
+    flushed[:, :cols] = True
+    return flushed
 
 
 class TestLbfgsMemory:
@@ -746,9 +765,12 @@ class TestLbfgsMemory:
         check_gram_direction(np.random.default_rng(23), disk_inside())
 
     def test_h0_positive_definite(self):
-        # D A has its spectrum in [0, 2] (Gershgorin) and the coarse term is
-        # positive semidefinite, so H0 >= 0.2 D whatever the contrast of pg
-        check_h0(np.random.default_rng(5), disk_inside(), 10.0)
+        # >= 0.18 D whatever the contrast of pg; ten decades floor more than
+        # a share _FRINGE of the nodes, so H0 is the one-level step there,
+        # and four decades keep the cycle
+        rng = np.random.default_rng(5)
+        assert check_h0(rng, disk_inside(), 10.0) == 0
+        assert check_h0(rng, disk_inside(), 4.0) > 0
 
     def test_h0_every_coarse_node_active(self):
         # two decades of pg floor no node: the coarse term spans every hat
@@ -758,13 +780,20 @@ class TestLbfgsMemory:
 
     def test_h0_flushed_region_matches_dense(self):
         # pg exactly 0 on the cells left of the centre line, as large p
-        # flushes it: the hats with more than a share _FRINGE of their
-        # weight on floored nodes leave the coarse term, and Abar's floor
-        # keeps the coarse matrix of the others definite
+        # flushes it: half the nodes are floored, more than a share
+        # _FRINGE, so no coarse matrix is built and H0 is one-level
         inside = disk_inside()
-        flushed = np.zeros((inside.shape[0] - 1, inside.shape[1] - 1), bool)
-        flushed[:, :inside.shape[1] // 2] = True
-        used = check_h0(np.random.default_rng(11), inside, 2.0, flushed)
+        flushed = flushed_cells(inside, inside.shape[1] // 2)
+        assert check_h0(np.random.default_rng(11), inside, 2.0, flushed) == 0
+
+    def test_h0_flushed_fringe_matches_dense(self):
+        # a flushed band floors a few nodes, at most a share _FRINGE: the
+        # hats with more than a share _FRINGE of their weight on them leave
+        # the coarse term, and Abar's floor keeps the coarse matrix of the
+        # others definite, while the cycle's residuals use A itself
+        inside = disk_inside()
+        used = check_h0(np.random.default_rng(13), inside, 2.0,
+                        flushed_cells(inside, 5))
         assert 0 < used < dense_prolongation(inside).shape[1]
 
     @pytest.mark.parametrize("n", [1, 40, 150, 484])
@@ -783,7 +812,7 @@ class TestLbfgsMemory:
         rng = np.random.default_rng(37)
         check_gram_direction(rng, offset_inside())
         check_h0(rng, offset_inside(), 10.0)
-        check_h0(rng, offset_inside(), 2.0)
+        assert check_h0(rng, offset_inside(), 2.0) > 0
 
     @pytest.mark.parametrize("make_inside", [disk_inside, offset_inside])
     def test_cells_without_inside_corner_change_nothing(self, make_inside):
@@ -802,10 +831,10 @@ class TestLbfgsMemory:
                             np.zeros(L)))
         assert np.array_equal(junk.D, clean.D)
         assert np.array_equal(junk.W, clean.W)
+        assert junk.W is not None
         q = rng.standard_normal(junk.D.size)
-        qc = junk.restrict(q)
-        assert np.array_equal(junk.h0(q, qc), clean.h0(q, qc))
-        assert junk.h0_quad(q, qc) == clean.h0_quad(q, qc)
+        assert np.array_equal(junk.h0(q), clean.h0(q))
+        assert junk.h0_quad(q) == clean.h0_quad(q)
 
     def test_memory_scales_with_the_box_not_the_grid(self):
         # a small off-centre disk in a wide grid: building the stiffness,
@@ -827,7 +856,7 @@ class TestLbfgsMemory:
             try:
                 stiff = _Stiffness(inside)
                 stiff.update(pg)
-                stiff.h0(q, stiff.restrict(q))
+                stiff.h0(q)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

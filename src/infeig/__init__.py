@@ -6,8 +6,8 @@ from .grid import (DistanceField, Disk, DomainMask, Grid, Polygon, Rect,
 from .weight import WeightField, build_weight, negate, regions_weight
 from .geometry import (GeoLimits, PackingResult, compute_limits, cone_field,
                        pack, r_plus, two_cone_field)
-from .eigen import (EigenResult, SolverOpts, SweepRecord, dirichlet_energy_p,
-                    mu1, solve_lambda1, sweep, two_cone_upper_bound,
+from .eigen import (EigenResult, SolverOpts, dirichlet_energy_p, mu1,
+                    rayleigh_root, solve_lambda1, sweep, two_cone_upper_bound,
                     weighted_mass_p)
 from .viscosity import CheckOpts, ViscosityReport, check, inf_laplacian
 
@@ -17,9 +17,8 @@ __all__ = [
     "WeightField", "build_weight", "regions_weight", "negate",
     "GeoLimits", "PackingResult", "r_plus", "pack", "cone_field",
     "two_cone_field", "compute_limits",
-    "EigenResult", "SweepRecord", "SolverOpts", "dirichlet_energy_p",
-    "weighted_mass_p", "solve_lambda1", "mu1", "two_cone_upper_bound",
-    "sweep",
+    "EigenResult", "SolverOpts", "dirichlet_energy_p", "weighted_mass_p",
+    "rayleigh_root", "solve_lambda1", "mu1", "two_cone_upper_bound", "sweep",
     "CheckOpts", "ViscosityReport", "inf_laplacian", "check",
 ]
 

@@ -55,24 +55,23 @@ def cmd_limits(cfg: RunConfig, prefix: str) -> int:
 def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
     mask, w, dist = _setup(cfg)
     C = cfg.zero_order_field(mask)
-    records, fields = eigen.sweep(w, cfg.p_list, C=C, opts=cfg.solver,
-                                  dist=dist)
+    target, results, bounds = eigen.sweep(w, cfg.p_list, C=C, opts=cfg.solver,
+                                          dist=dist)
     with open(f"{prefix}_sweep.csv", "w") as f:
         f.write("p,lambda_root,target,deviation,cone_bound,iterations,converged\n")
-        for r in records:
+        for r, bound in zip(results, bounds):
+            dev = abs(r.lambda_root - target)
             f.write("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d\n" % (
-                r.p, r.lambda_root, r.target, r.deviation, r.cone_bound,
-                r.iterations, int(r.converged)))
-    for r, fld in zip(records, fields):
-        fieldio.save_array(f"{prefix}_field_p{r.p:g}.csv", cfg.grid, fld.u,
-                           "scalar")
-    for r in records:
-        print(f"p={r.p:g}: lambda_root={r.lambda_root:.6g} "
-              f"target={r.target:.6g} deviation={r.deviation:.6g} "
-              f"converged={r.converged}")
-    if not all(r.converged for r in records):
-        return 2
-    return 0
+                r.p, r.lambda_root, target, dev, bound, r.iterations,
+                int(r.converged)))
+            print(f"p={r.p:g}: lambda_root={r.lambda_root:.6g} "
+                  f"target={target:.6g} deviation={dev:.6g} "
+                  f"converged={r.converged} stop={r.stop} "
+                  f"residual={r.residual:.3g}")
+    for r in results:
+        fieldio.save_array(f"{prefix}_field_p{r.p:g}.csv", cfg.grid,
+                           r.field.u, "scalar")
+    return 0 if all(r.converged for r in results) else 2
 
 
 def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:

@@ -72,25 +72,13 @@ class SolverOpts:
 @dataclass(frozen=True)
 class EigenResult:
     p: float
-    lam: float
-    lambda_root: float
+    lambda_root: float  # lambda^(1/p), from log lambda
     field: ScalarField
     iterations: int
     final_step: float
     converged: bool
     residual: float  # relative KKT residual at the returned field
     stop: str  # "tol", "max_iter", "line_search" or "nonfinite"
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    p: float
-    lambda_root: float
-    target: float
-    deviation: float
-    cone_bound: float
-    iterations: int
-    converged: bool
 
 
 def _check_p(p: float) -> None:
@@ -210,26 +198,16 @@ def weighted_mass_grad(u: ScalarField, w: WeightField, p: float) -> np.ndarray:
     return _power_grad(u.u, w.m, p, u.grid.h)
 
 
-def rayleigh(u: ScalarField, w: WeightField, p: float,
-             C: ScalarField | None = None) -> float:
-    """E(u) / G(u) through log space, so the quotient's zero homogeneity
-    survives over- and underflow of both sums; inf when the weighted mass is
-    not positive."""
+def rayleigh_root(u: ScalarField, w: WeightField, p: float,
+                  C: ScalarField | None = None) -> float:
+    """(E(u) / G(u))^(1/p) from the logs of both sums, so the quotient's
+    zero homogeneity survives over- and underflow of either; inf only when
+    the weighted mass is not positive."""
     _check_p(p)
-    loglam = _log_rayleigh(u.u, w, p, C)
-    if loglam is None or loglam >= 700:
-        return math.inf
-    return math.exp(loglam)
-
-
-def _log_rayleigh(u: np.ndarray, w: WeightField, p: float,
-                  C: ScalarField | None):
-    """Log of the Rayleigh quotient, or None when the weighted mass is
-    nonpositive."""
-    _, logG = _log_power_sum(np.abs(u), w.m, p, w.grid.h)
+    _, logG = _log_power_sum(np.abs(u.u), w.m, p, w.grid.h)
     if logG is None:
-        return None
-    return dirichlet_energy_p(ScalarField(w.grid, u), p, C)[1] - logG
+        return math.inf
+    return math.exp((dirichlet_energy_p(u, p, C)[1] - logG) / p)
 
 
 def seed_cone(w: WeightField, p: float,
@@ -544,14 +522,17 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
     lambda. Each trial is evaluated in one pass that keeps its powers, and
     the gradient at an accepted trial reuses them. ``converged`` certifies
-    stationarity: the relative KKT residual max|dE - lam dG| / max|dE|
-    over inside nodes is at most ``opts.tol``. It equals the projected
-    residual, as df has no positive component where u = 0. ``stop`` says why the solve ended: "tol",
-    "max_iter", "line_search" (no trial decreases lambda, the floating-point
-    floor) or "nonfinite". A warm start ``u0`` enters as |u0|; without one,
-    or when its weighted mass is not positive, the seed cone is used; a
-    ``u0`` or ``C`` on another grid than ``w``'s is a ValueError. The
-    field is normalized to unit weighted p-mass.
+    a stationary point, not the principal eigenvalue: the relative KKT
+    residual max|dE - lam dG| / max|dE| over inside nodes is at most
+    ``opts.tol``, and another seed may certify a lower root (``sweep``
+    has an example). The residual equals the projected one, as df has no
+    positive component where u = 0. ``stop`` says why the solve ended:
+    "tol", "max_iter", "line_search" (no trial decreases lambda, the
+    floating-point floor) or "nonfinite". A warm start ``u0`` enters as
+    |u0|; without one, or when its weighted mass is not positive, the seed
+    cone is used; a ``u0`` or ``C`` on another grid than ``w``'s is a
+    ValueError. The field is normalized to unit weighted p-mass, and
+    ``lambda_root`` is exp(log lambda / p), finite where lambda overflows.
     """
     _check_p(p)
     for name, f in (("u0", u0), ("C", C)):
@@ -686,8 +667,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     u = np.zeros(inside.shape)
     u[inside] = x
     u *= math.exp(-logG / p)
-    return EigenResult(p=p, lam=math.exp(loglam) if loglam < 700 else math.inf,
-                       lambda_root=math.exp(loglam / p),
+    return EigenResult(p=p, lambda_root=math.exp(loglam / p),
                        field=ScalarField(grid, u), iterations=it,
                        final_step=tau, converged=stop == "tol", residual=kkt,
                        stop=stop)
@@ -701,7 +681,7 @@ def mu1(w: WeightField, p: float, opts: SolverOpts | None = None,
     if not w.minus.any():
         raise NoNegativeRegionError("no negative region")
     res = solve_lambda1(negate(w), p, opts=opts, dist=dist, u0=u0)
-    return replace(res, lam=-res.lam, lambda_root=-res.lambda_root)
+    return replace(res, lambda_root=-res.lambda_root)
 
 
 def two_cone_upper_bound(p: float, c1, c2, radius: float, w: WeightField,
@@ -717,11 +697,8 @@ def two_cone_upper_bound(p: float, c1, c2, radius: float, w: WeightField,
     _check_p(p)
     # validates disjointness and containment
     two_cone_field(1.0, 1.0, c1, c2, radius, w.grid, dist)
-    logs = [_log_rayleigh(cone_field(c, radius, w.grid).u * w.mask.inside,
-                          w, p, None) for c in (c1, c2)]
-    if None in logs:
-        return math.inf
-    return math.exp(max(logs) / p)
+    cones = (cone_field(c, radius, w.grid).u * w.mask.inside for c in (c1, c2))
+    return max(rayleigh_root(ScalarField(w.grid, u), w, p) for u in cones)
 
 
 def cone_rayleigh_root(w: WeightField, p: float,
@@ -729,31 +706,31 @@ def cone_rayleigh_root(w: WeightField, p: float,
                        C: ScalarField | None = None) -> float:
     """p-th root of the Rayleigh quotient of the admissible seed cone; a
     rigorous discrete upper bound on lambda_root."""
-    return math.exp(_log_rayleigh(seed_cone(w, p, dist).u, w, p, C) / p)
+    return rayleigh_root(seed_cone(w, p, dist), w, p, C)
 
 
 def sweep(w: WeightField, p_list, C: ScalarField | None = None,
           opts: SolverOpts | None = None,
           dist: DistanceField | None = None):
     """Warm-started principal-eigenvalue solves over strictly increasing p,
-    the first from the seed cone, with the geometric target and the discrete
-    cone bound per entry. Returns (records, fields), one solved field per
-    record."""
+    the first from the seed cone. Returns (target, results, bounds): the
+    geometric limit of the roots, the solver's result per p and that p's
+    cone bound. As in ``solve_lambda1``, a converged result certifies a
+    stationary point (relative KKT residual <= tol), not the principal
+    eigenvalue: on the 64 x 64 boundary strip (m = 1 for r > 0.8, else -1)
+    with C = 1 and p = 16, 64, every solve stops on "tol", and this sweep
+    certifies the roots 5.3793095 and 4.5140910, while the same sweep
+    seeded with the distance transform of the plus set certifies
+    5.5157237 and 4.8428960."""
     p_list = [float(p) for p in p_list]
     if any(b <= a for a, b in zip(p_list, p_list[1:])):
         raise ValueError("p_list must be strictly increasing")
     if dist is None:
         dist = edt(w.mask)
     rp, _ = r_plus(dist, w.plus)
-    target = lambda1_limit(rp, zero_order=C is not None)
-    records, fields, prev = [], [], None
+    results, bounds, prev = [], [], None
     for p in p_list:
-        res = solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev)
-        prev = res.field
-        fields.append(res.field)
-        records.append(SweepRecord(
-            p=p, lambda_root=res.lambda_root, target=target,
-            deviation=abs(res.lambda_root - target),
-            cone_bound=cone_rayleigh_root(w, p, dist, C),
-            iterations=res.iterations, converged=res.converged))
-    return records, fields
+        results.append(solve_lambda1(w, p, C=C, opts=opts, dist=dist, u0=prev))
+        prev = results[-1].field
+        bounds.append(cone_rayleigh_root(w, p, dist, C))
+    return lambda1_limit(rp, zero_order=C is not None), results, bounds

@@ -15,7 +15,8 @@ from conftest import (brute_force_edt, disk_setup, example1_weight,
 from infeig import (DomainMask, Grid, ScalarField, SolverOpts, check,
                     cone_field, compute_limits, dirichlet_energy_p, edt, mu1,
                     negate, pack, solve_lambda1, sweep, weighted_mass_p)
-from infeig.eigen import dirichlet_energy_grad, rayleigh, weighted_mass_grad
+from infeig.eigen import (dirichlet_energy_grad, rayleigh_root,
+                          weighted_mass_grad)
 from infeig.weight import WeightField
 
 from test_eigen import eigsh_lambda2_oracle
@@ -42,8 +43,9 @@ def example1_sweep(n=96):
         w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.25), 1.0)], grid, mask)
         dist = edt(mask)
         t0 = time.perf_counter()
-        recs, _ = sweep(w, [4, 8, 16, 32], dist=dist)
-        _sweep_cache[n] = dict(recs=recs, elapsed=time.perf_counter() - t0,
+        target, results, bounds = sweep(w, [4, 8, 16, 32], dist=dist)
+        _sweep_cache[n] = dict(target=target, results=results, bounds=bounds,
+                               elapsed=time.perf_counter() - t0,
                                w=w, dist=dist, grid=grid, mask=mask)
     return _sweep_cache[n]
 
@@ -84,9 +86,9 @@ def test_2_zero_order_limit(capfd):
 
 def test_3_convergence_trend(capfd):
     cache = example1_sweep()
-    recs, elapsed = cache["recs"], cache["elapsed"]
-    devs = [r.deviation for r in recs]
-    ok = all(r.converged for r in recs)
+    results, elapsed = cache["results"], cache["elapsed"]
+    devs = [abs(r.lambda_root - cache["target"]) for r in results]
+    ok = all(r.converged for r in results)
     ok &= all(b <= a + 1e-12 for a, b in zip(devs, devs[1:]))
     ok &= devs[-1] <= 0.25
     ok &= elapsed <= 300.0
@@ -95,12 +97,12 @@ def test_3_convergence_trend(capfd):
 
 def test_4_cone_upper_bounds(capfd):
     cache = example1_sweep()
-    recs, w, dist, grid, mask = (cache["recs"], cache["w"], cache["dist"],
-                                 cache["grid"], cache["mask"])
+    w, dist, grid, mask = (cache["w"], cache["dist"], cache["grid"],
+                           cache["mask"])
     rng = np.random.default_rng(2024)
     nodes = np.argwhere(w.plus)
     ok = True
-    for rec in recs:
+    for rec, cone_bound in zip(cache["results"], cache["bounds"]):
         checked = 0
         while checked < 20:
             i, j = nodes[rng.integers(len(nodes))]
@@ -111,10 +113,9 @@ def test_4_cone_upper_bounds(capfd):
             uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
             if weighted_mass_p(uu, w, rec.p) <= 0:
                 continue
-            bound = rayleigh(uu, w, rec.p) ** (1 / rec.p)
-            ok &= rec.lambda_root <= bound + 1e-8
+            ok &= rec.lambda_root <= rayleigh_root(uu, w, rec.p) + 1e-8
             checked += 1
-        ok &= rec.lambda_root <= rec.cone_bound + 1e-8
+        ok &= rec.lambda_root <= cone_bound + 1e-8
     report(capfd, 4, "cone upper-bound inequality, 20 random cones per p", ok)
 
 
@@ -140,7 +141,7 @@ def test_5_oracle_equivalences(capfd):
     w = uniform_weight(grid, mask)
     res2 = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-5), dist=dist)
     oracle = eigsh_lambda2_oracle(w)
-    ok &= abs(res2.lam - oracle) / oracle <= 1e-6
+    ok &= abs(res2.lambda_root ** 2 - oracle) / oracle <= 1e-6
     report(capfd, 5, "independent oracles: distance, packing, p=2 eigenvalue", ok)
 
 
@@ -203,8 +204,7 @@ def test_8_duality_and_symmetry(capfd):
     w = example1_weight(grid, mask, delta=0.4)
     res_neg = mu1(w, 3.0, dist=dist)
     res_pos = solve_lambda1(negate(w), 3.0, dist=dist)
-    ok = (res_neg.lam == -res_pos.lam
-          and res_neg.lambda_root == -res_pos.lambda_root)
+    ok = res_neg.lambda_root == -res_pos.lambda_root
     # 90-degree rotation: all geometric limit scalars invariant to 1e-12
     grid, mask, dist = disk_setup(1 / 64)
     w = example3_weight(grid, mask, delta=0.1)
@@ -230,7 +230,7 @@ POLISHED_ROOTS = (2.9490684, 1.6984866, 1.3573886, 1.2065212)
 
 
 def test_sweep_roots_match_polished():
-    recs = example1_sweep()["recs"]
+    recs = example1_sweep()["results"]
     for rec, pgd, ref in zip(recs, PGD_ROOTS, POLISHED_ROOTS):
         assert rec.converged
         assert rec.lambda_root <= pgd
@@ -242,7 +242,7 @@ def test_ex1_sweep_iteration_budget():
     # additive two-level initial Hessian took ~290, the one-level
     # Chebyshev-Jacobi one ~530 and the diagonal one 863; the bound leaves
     # room for the +-20 % that last-bit changes move the counts
-    recs = example1_sweep()["recs"]
+    recs = example1_sweep()["results"]
     assert all(rec.converged for rec in recs)
     assert sum(rec.iterations for rec in recs) <= 250
 
@@ -253,7 +253,7 @@ def test_ex1_iterations_flat_in_grid():
     # iterations from n = 96 to n = 192, the two-level one ~1.3x
     totals = []
     for n in (96, 192):
-        recs = example1_sweep(n)["recs"]
+        recs = example1_sweep(n)["results"]
         assert all(rec.converged for rec in recs)
         totals.append(sum(rec.iterations for rec in recs))
     assert totals[1] <= 1.6 * totals[0]
@@ -262,13 +262,13 @@ def test_ex1_iterations_flat_in_grid():
 def strip_sweep(n):
     """Boundary-strip weight (m = +1 for r > 0.8) with C = 1 on an n x n
     grid, swept at p = 16, 64: the configuration of the strip benchmark.
-    Returns the sweep records."""
+    Returns the solver's results."""
     from infeig import Disk, rasterize, regions_weight
     grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
     mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
     w = regions_weight(1.0, [(Disk((0.0, 0.0), 0.8), -1.0)], grid, mask)
     C = ScalarField(grid, np.ones(grid.shape))
-    return sweep(w, [16, 64], C=C, dist=edt(mask))[0]
+    return sweep(w, [16, 64], C=C, dist=edt(mask))[1]
 
 
 # bench/refs.json: the strip sweep's roots polished by L-BFGS-B

@@ -306,6 +306,25 @@ class TestCommands:
         assert (g.nx, g.ny) == (raw["grid"]["nx"], raw["grid"]["ny"])
         assert np.isfinite(vals).all() and vals.max() > 0
 
+    def test_sweep_prints_stop_and_residual(self, tmp_path, capsys):
+        # each p's line says why its solve stopped and at what KKT residual,
+        # so a stall shows without a script
+        path, _ = disk_config(tmp_path, h=1 / 16, p_list=[2, 4])
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(":")[0] for line in lines] == ["p=2", "p=4"]
+        for line in lines:
+            pairs = dict(kv.split("=") for kv in line.split()[1:])
+            assert pairs["converged"] == "True" and pairs["stop"] == "tol"
+            assert 0.0 < float(pairs["residual"]) <= 1e-4
+        path, _ = disk_config(tmp_path, h=1 / 16,
+                              solver={"tol": 1e-14, "max_iter": 3})
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        pairs = dict(kv.split("=") for kv in
+                     capsys.readouterr().out.split()[1:])
+        assert pairs["converged"] == "False" and pairs["stop"] == "max_iter"
+        assert float(pairs["residual"]) > 1e-14
+
     def test_check_cone_passes(self, tmp_path):
         h = 1 / 64
         path, raw = disk_config(tmp_path, h=h)

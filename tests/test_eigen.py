@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
                     WeightField, cone_field, dirichlet_energy_p, edt, eigen,
                     mu1, negate, rasterize, regions_weight, solve_lambda1,
                     sweep, two_cone_upper_bound, weighted_mass_p)
-from infeig.eigen import (_COARSE, _FRINGE, _MEMORY, SweepRecord, _Memory,
-                          _Stiffness, _invert_lower, _power, _underflow_cut,
-                          cone_rayleigh_root, dirichlet_energy_grad, rayleigh,
-                          seed_cone, weighted_mass_grad)
+from infeig.eigen import (_COARSE, _FRINGE, _MEMORY, _Memory, _Stiffness,
+                          _invert_lower, _power, _underflow_cut,
+                          cone_rayleigh_root, dirichlet_energy_grad,
+                          rayleigh_root, seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
 
@@ -63,7 +64,7 @@ def projected_kkt(res, w, C=None):
     gradients: max|P(dE - lam dG)| / max|dE| over inside nodes, where P drops
     positive components at nodes with u = 0."""
     gE = dirichlet_energy_grad(res.field, res.p, C)
-    r = gE - res.lam * weighted_mass_grad(res.field, w, res.p)
+    r = gE - res.lambda_root ** res.p * weighted_mass_grad(res.field, w, res.p)
     r = np.where((res.field.u == 0.0) & (r > 0.0), 0.0, r)
     inside = w.mask.inside
     return np.abs(r[inside]).max() / np.abs(gE[inside]).max()
@@ -122,8 +123,8 @@ class TestPower:
 
         def kernels():
             return [weighted_mass_p(u, w, p), *dirichlet_energy_p(u, p),
-                    *dirichlet_energy_p(u, p, C), rayleigh(u, w, p),
-                    rayleigh(u, w, p, C)], [
+                    *dirichlet_energy_p(u, p, C), rayleigh_root(u, w, p) ** p,
+                    rayleigh_root(u, w, p, C) ** p], [
                     weighted_mass_grad(u, w, p), dirichlet_energy_grad(u, p),
                     dirichlet_energy_grad(u, p, C)]
 
@@ -316,21 +317,22 @@ class TestRayleigh:
         c = (grid.nx // 2, grid.ny // 2)
         u = cone_field(c, 0.5, grid, dist)
         for p, ts in ((5.0, (0.5, 3.0)), (64.0, (1e-6, 1e6))):
-            base = rayleigh(u, w, p)
+            base = rayleigh_root(u, w, p) ** p
             for t in ts:
                 ut = ScalarField(grid, t * u.u)
-                assert rayleigh(ut, w, p) == pytest.approx(base, rel=1e-12)
+                assert rayleigh_root(ut, w, p) ** p == pytest.approx(
+                    base, rel=1e-12)
 
     def test_nonpositive_mass_is_inf(self):
         grid, mask, dist = disk_setup(1 / 32)
         zero = ScalarField(grid, np.zeros((grid.nx, grid.ny)))
-        assert rayleigh(zero, uniform_weight(grid, mask), 4.0) == math.inf
+        assert rayleigh_root(zero, uniform_weight(grid, mask), 4.0) == math.inf
         # m = -1 outside r < 0.25, so this cone on [0.3, 0.9] x [-0.3, 0.3]
         # has negative mass
         w = example1_weight(grid, mask)
         cone = cone_field((grid.nx // 2 + 19, grid.ny // 2), 0.3, grid, dist)
         assert weighted_mass_p(cone, w, 4.0) < 0
-        assert rayleigh(cone, w, 4.0) == math.inf
+        assert rayleigh_root(cone, w, 4.0) == math.inf
 
 
 class TestSolver:
@@ -340,7 +342,7 @@ class TestSolver:
         res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-5), dist=dist)
         oracle = eigsh_lambda2_oracle(w)
         assert res.converged
-        assert res.lam == pytest.approx(oracle, rel=1e-6)
+        assert res.lambda_root ** 2 == pytest.approx(oracle, rel=1e-6)
 
     @pytest.mark.parametrize("a,b,nx,ny", [(17, 9, 23, 14), (9, 17, 14, 23)])
     def test_block_matches_closed_form(self, a, b, nx, ny):
@@ -357,14 +359,14 @@ class TestSolver:
                               + math.sin(math.pi / (2 * (b + 1))) ** 2)
         # tol 1e-9 is below the floating-point floor: it ends on line_search
         res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-9))
-        assert res.lam == pytest.approx(exact, rel=1e-13, abs=0.0)
+        assert res.lambda_root ** 2 == pytest.approx(exact, rel=1e-13, abs=0.0)
         res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-6))
         assert res.converged and res.stop == "tol"
-        assert res.lam == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert res.lambda_root ** 2 == pytest.approx(exact, rel=1e-12, abs=0.0)
         res = solve_lambda1(w, 8.0)
         assert res.converged
         assert res.lambda_root == pytest.approx(
-            rayleigh(res.field, w, 8.0) ** (1 / 8), rel=1e-12, abs=0.0)
+            rayleigh_root(res.field, w, 8.0), rel=1e-12, abs=0.0)
 
     def test_rejects_fields_on_another_grid(self):
         grid, mask, dist = disk_setup(1 / 8)
@@ -429,7 +431,8 @@ class TestSolver:
         zero = res.field.u == 0.0
         assert zero[inside].sum() >= (0.05 if spikes else 0.9) * inside.sum()
         gE = dirichlet_energy_grad(res.field, res.p, C)
-        r = gE - res.lam * weighted_mass_grad(res.field, w, res.p)
+        r = gE - res.lambda_root ** res.p * weighted_mass_grad(res.field, w,
+                                                               res.p)
         assert (r[zero] <= 0.0).all()
         plain = np.abs(r[inside]).max() / np.abs(gE[inside]).max()
         assert projected_kkt(res, w, C) == plain
@@ -442,13 +445,15 @@ class TestSolver:
         res = solve_lambda1(w, 2.0, opts=SolverOpts(tol=1e-12), dist=dist)
         assert not res.converged and res.stop == "line_search"
         assert res.residual > 1e-12
-        assert res.lam == pytest.approx(eigsh_lambda2_oracle(w), rel=1e-6)
+        assert res.lambda_root ** 2 == pytest.approx(eigsh_lambda2_oracle(w),
+                                                     rel=1e-6)
 
     def test_lambda_equals_rayleigh_of_field(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = example1_weight(grid, mask, delta=0.4)
         res = solve_lambda1(w, 4.0, dist=dist)
-        assert res.lam == pytest.approx(rayleigh(res.field, w, 4.0), rel=1e-10)
+        assert res.lambda_root ** 4 == pytest.approx(
+            rayleigh_root(res.field, w, 4.0) ** 4, rel=1e-10)
 
     def test_descent_monotone(self):
         grid, mask, dist = disk_setup(1 / 32)
@@ -480,8 +485,7 @@ class TestSolver:
                 continue
             u = cone_field((int(i), int(j)), float(r), grid, dist)
             uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
-            q = rayleigh(uu, w, p)
-            assert q ** (1 / p) >= res.lambda_root - 1e-10
+            assert rayleigh_root(uu, w, p) >= res.lambda_root - 1e-10
             checked += 1
 
     def test_monotone_in_weight(self):
@@ -492,14 +496,13 @@ class TestSolver:
         opts = SolverOpts(tol=1e-5)
         a = solve_lambda1(w_small, 4.0, opts=opts, dist=dist)
         b = solve_lambda1(w_big, 4.0, opts=opts, dist=dist)
-        assert b.lam <= a.lam + 1e-10
+        assert b.lambda_root ** 4 <= a.lambda_root ** 4 + 1e-10
 
     def test_mu1_duality_exact(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = example1_weight(grid, mask, delta=0.4)
         res_neg = mu1(w, 3.0, dist=dist)
         res_pos = solve_lambda1(negate(w), 3.0, dist=dist)
-        assert res_neg.lam == -res_pos.lam
         assert res_neg.lambda_root == -res_pos.lambda_root
 
     def test_mu1_requires_negative_region(self):
@@ -547,7 +550,7 @@ class TestSolver:
         plain = solve_lambda1(w, 4.0, opts=opts, dist=dist)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
         with_C = solve_lambda1(w, 4.0, C=Cf, opts=opts, dist=dist)
-        assert with_C.lam > plain.lam
+        assert with_C.lambda_root > plain.lambda_root
 
 
 def dense_stiffness(pg, inside):
@@ -895,7 +898,7 @@ class TestTwoConeBound:
             for c in (c1, c2):
                 u = cone_field(c, 0.3, grid, dist)
                 uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
-                singles.append(rayleigh(uu, w, p) ** (1 / p))
+                singles.append(rayleigh_root(uu, w, p))
             assert bound == pytest.approx(max(singles), rel=1e-12)
 
     def test_inf_when_cones_have_negative_mass(self):
@@ -916,17 +919,17 @@ class TestSweep:
     def test_records_and_warm_start(self):
         grid, mask, dist = disk_setup(1 / 32)
         w = uniform_weight(grid, mask)
-        recs, fields = sweep(w, [2, 4, 8], opts=SolverOpts(tol=1e-5),
-                             dist=dist)
-        assert [r.p for r in recs] == [2.0, 4.0, 8.0]
-        assert len(fields) == 3
-        for r in recs:
+        target, results, bounds = sweep(w, [2, 4, 8],
+                                        opts=SolverOpts(tol=1e-5), dist=dist)
+        assert [r.p for r in results] == [2.0, 4.0, 8.0]
+        assert len(bounds) == 3
+        assert target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)
+        for r, bound in zip(results, bounds):
             assert r.converged
-            assert r.target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)
-            assert r.deviation == abs(r.lambda_root - r.target)
-            assert r.cone_bound >= r.lambda_root - 1e-9
+            assert bound >= r.lambda_root - 1e-9
         # lambda_root drifts toward the geometric target as p grows
-        assert recs[-1].deviation < recs[0].deviation
+        deviations = [abs(r.lambda_root - target) for r in results]
+        assert deviations[-1] < deviations[0]
 
     def test_matches_public_call_chain(self):
         # the chain bench/traced.py replays: warm-started solves from a cold
@@ -935,18 +938,17 @@ class TestSweep:
         w = example1_weight(grid, mask, delta=0.5)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
         opts = SolverOpts(tol=1e-5)
-        recs, fields = sweep(w, [4, 8, 16], C=Cf, opts=opts, dist=dist)
-        target = max(1.0 / r_plus(dist, w.plus)[0], 1.0)
+        target, results, bounds = sweep(w, [4, 8, 16], C=Cf, opts=opts,
+                                        dist=dist)
+        assert target == max(1.0 / r_plus(dist, w.plus)[0], 1.0)
         prev = None
-        for p, rec, field in zip((4.0, 8.0, 16.0), recs, fields, strict=True):
+        for p, got, bound in zip((4.0, 8.0, 16.0), results, bounds,
+                                 strict=True):
             res = solve_lambda1(w, p, C=Cf, opts=opts, dist=dist, u0=prev)
             prev = res.field
-            assert rec == SweepRecord(
-                p=p, lambda_root=res.lambda_root, target=target,
-                deviation=abs(res.lambda_root - target),
-                cone_bound=cone_rayleigh_root(w, p, dist, Cf),
-                iterations=res.iterations, converged=res.converged)
-            assert (field.u == res.field.u).all()
+            assert replace(got, field=None) == replace(res, field=None)
+            assert (got.field.u == res.field.u).all()
+            assert bound == cone_rayleigh_root(w, p, dist, Cf)
 
     @pytest.mark.parametrize("s", [1e-5, 1e-6])
     def test_small_geometry_seeds_at_p64(self, s):
@@ -959,19 +961,31 @@ class TestSweep:
             w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.5 * s), 1.0)],
                                grid, mask)
             dist = edt(mask)
-            return w, dist, sweep(w, [4, 16, 64], dist=dist)[0]
+            return w, dist, *sweep(w, [4, 16, 64], dist=dist)[1:]
 
-        w, dist, recs = ex1(s)
+        w, dist, results, bounds = ex1(s)
         assert weighted_mass_p(seed_cone(w, 64.0, dist), w, 64.0) == 0.0
-        for rec, ref in zip(recs, ex1(1.0)[2], strict=True):
-            assert rec.converged
-            assert rec.lambda_root * s == pytest.approx(ref.lambda_root, rel=1e-6)
-            assert rec.cone_bound * s == pytest.approx(ref.cone_bound, rel=1e-12)
+        _, _, refs, ref_bounds = ex1(1.0)
+        for res, bound, ref, ref_bound in zip(results, bounds, refs,
+                                              ref_bounds, strict=True):
+            assert res.converged
+            assert res.lambda_root * s == pytest.approx(ref.lambda_root, rel=1e-6)
+            assert bound * s == pytest.approx(ref_bound, rel=1e-12)
+            # log lambda reaches 743.7 at s = 1e-5 and p = 64: lambda itself
+            # overflows, its root does not
+            for f in fields(res):
+                value = getattr(res, f.name)
+                if isinstance(value, (int, float)):
+                    assert math.isfinite(value), f.name
+            assert np.isfinite(res.field.u).all()
+            assert rayleigh_root(res.field, w, res.p) == pytest.approx(
+                res.lambda_root, rel=1e-12)
 
     def test_zero_order_target(self):
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)
         w = uniform_weight(grid, mask)
         Cf = ScalarField(grid, np.full((grid.nx, grid.ny), 1.0))
-        recs, _ = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-5), dist=dist)
+        target, _, _ = sweep(w, [4], C=Cf, opts=SolverOpts(tol=1e-5),
+                             dist=dist)
         # R+ < 1 here, so the zero-order target is 1/R+ as well
-        assert recs[0].target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)
+        assert target == pytest.approx(1.0 / dist.d.max(), rel=1e-12)

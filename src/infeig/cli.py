@@ -13,9 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
-
-import numpy as np
+from dataclasses import asdict
 
 from . import eigen, fieldio, geometry, viscosity
 from .config import RunConfig, load_config
@@ -77,23 +75,14 @@ def cmd_sweep(cfg: RunConfig, prefix: str) -> int:
 def cmd_check(cfg: RunConfig, prefix: str, field_path: str, lam: float) -> int:
     if not (math.isfinite(lam) and lam > 0):
         raise ConfigError(f"--lam must be a finite positive number, got {lam}")
-    mask = cfg.build_mask()
-    w = cfg.build_weight(mask)
-    grid, values, kind = fieldio.load_array(field_path)
-    if kind != "scalar":
-        raise ConfigError(f"{field_path}: check needs a scalar field, "
-                          f"got a {kind} field")
+    w = cfg.build_weight(cfg.build_mask())
+    grid, values, _ = fieldio.load_array(field_path)
     if grid != cfg.grid:
         raise GridMismatchError(
             f"field grid {grid.nx}x{grid.ny} (h={grid.h}) does not match "
             f"config grid {cfg.grid.nx}x{cfg.grid.ny} (h={cfg.grid.h})")
-    # boundary_max is the file's; the residuals see the field zeroed outside
-    outside = ~mask.inside
-    boundary_max = float(np.abs(values[outside]).max())
-    values[outside] = 0.0
-    report = replace(viscosity.check(ScalarField(cfg.grid, values), lam, w,
-                                     cfg.viscosity),
-                     boundary_max=boundary_max)
+    report = viscosity.check(ScalarField(cfg.grid, values), lam, w,
+                             cfg.viscosity)
     _write_json(f"{prefix}_check.json", report.to_record())
     for name in ("pos", "neg", "zero"):
         print(f"{name}: nodes={report.counts[name]} "

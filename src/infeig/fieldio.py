@@ -1,8 +1,10 @@
-"""CSV serialization for masks, distance fields, and scalar fields.
+"""CSV serialization for scalar fields.
 
-File layout: one JSON header line with the grid metadata, then nx rows
-(one per grid row i), each with ny comma-separated values. Floats are
-written with %.17g so doubles round-trip bit-identically.
+File layout: one JSON header line with the grid metadata and the kind
+"scalar", then nx rows (one per grid row i), each with ny comma-separated
+values. Floats are written with %.17g so doubles round-trip bit-identically.
+A file holds the field on every node of its grid, outside the domain too;
+`viscosity.check` reads the outside values only for its `boundary_max`.
 """
 
 from __future__ import annotations
@@ -15,10 +17,12 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 
-KINDS = ("scalar", "mask")
+KIND = "scalar"
 
 
 def save_array(path, grid: Grid, values: np.ndarray, kind: str) -> None:
+    if kind != KIND:
+        raise ValueError(f"unknown field kind {kind!r}, expected {KIND!r}")
     header = {
         "nx": grid.nx,
         "ny": grid.ny,
@@ -28,10 +32,7 @@ def save_array(path, grid: Grid, values: np.ndarray, kind: str) -> None:
     }
     with open(path, "w") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        if kind == "mask":
-            np.savetxt(f, values.astype(int), fmt="%d", delimiter=",")
-        else:
-            np.savetxt(f, values, fmt="%.17g", delimiter=",")
+        np.savetxt(f, values, fmt="%.17g", delimiter=",")
 
 
 def load_array(path) -> tuple[Grid, np.ndarray, str]:
@@ -40,19 +41,18 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
             header = json.loads(f.readline())
             grid = Grid(header["nx"], header["ny"], header["h"],
                         tuple(header["origin"]))
-            kind = header.get("kind", "scalar")
+            kind = header.get("kind", KIND)
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"{path}: bad field header: {e!r}") from e
-        if kind not in KINDS:
+        if kind != KIND:
             raise ConfigError(f"{path}: unknown field kind {kind!r}, "
-                              f"expected one of {', '.join(KINDS)}")
+                              f"expected {KIND!r}")
         mismatch = f"{path}: body does not match {grid.nx}x{grid.ny} header"
         try:
             with warnings.catch_warnings():  # an empty body is a mismatch
                 warnings.simplefilter("ignore", UserWarning)
                 values = np.loadtxt((line for line in f if line.strip()),
-                                    delimiter=",", comments=None, ndmin=2,
-                                    dtype=int if kind == "mask" else float)
+                                    delimiter=",", comments=None, ndmin=2)
         except ValueError as e:
             if not _body_shape_matches(path, grid):
                 raise ConfigError(mismatch) from e
@@ -61,8 +61,6 @@ def load_array(path) -> tuple[Grid, np.ndarray, str]:
         raise ConfigError(mismatch)
     if not np.isfinite(values).all():
         raise ConfigError(f"{path}: non-finite field value")
-    if kind == "mask":
-        values = values.astype(bool)
     return grid, values, kind
 
 

@@ -128,18 +128,19 @@ def _slabs(nx: int, ny: int):
 
 
 def _thresholds(u: np.ndarray, w: WeightField, h: float, opts: CheckOpts):
-    """Pass 1: the regime threshold eps, the kink threshold and the largest
-    |u| outside the domain, from whole-grid maxima taken slab by slab."""
+    """Pass 1: eps and the kink threshold from the whole-grid maxima of u
+    zeroed outside the domain, and the largest |u| outside, slab by slab."""
     inside = w.mask.inside
     top = np.zeros(5)  # max |m u|, max |u|, max |x diff|, max |y diff|, boundary
     for r0, r1 in _slabs(*u.shape):
-        us = u[r0:r1]
-        # the x differences of the slab's rows reach one row past its end
+        # the slab zeroed outside, with the next row its x differences reach
+        zs = np.where(inside[r0:r1 + 1], u[r0:r1 + 1], 0.0)
+        us = zs[:r1 - r0]
         np.maximum(top, [np.abs(w.m[r0:r1] * us).max(),
                          np.abs(us).max(),
-                         np.abs(np.diff(u[r0:r1 + 1], axis=0)).max(initial=0.0),
+                         np.abs(np.diff(zs, axis=0)).max(initial=0.0),
                          np.abs(np.diff(us, axis=1)).max(),
-                         np.abs(us[~inside[r0:r1]]).max(initial=0.0)],
+                         np.abs(u[r0:r1][~inside[r0:r1]]).max(initial=0.0)],
                    out=top)
     mu_max, height, dx_max, dy_max, boundary_max = top
     eps = opts.eps_regime
@@ -176,7 +177,8 @@ def regime_labels(u: ScalarField, w: WeightField,
 
     ZERO requires the node and its full 8-neighborhood to have |m u| under
     the threshold (interior-of-set approximation); borderline nodes that
-    fail that test are excluded, as are ridge nodes.
+    fail that test are excluded, as are ridge nodes. Only inside values of
+    u are read: the labels are those of u zeroed outside.
     """
     opts = opts or CheckOpts()
     h = u.grid.h
@@ -198,6 +200,8 @@ def check(u: ScalarField, lam: float, w: WeightField,
     sees its true neighbours, and adds up the counts and maxima. The report
     is that of the whole-grid computation bit for bit; the working set is
     a few slabs instead of a dozen full grids.
+    Thresholds, labels and residuals read u only inside the domain, as for
+    u zeroed outside; `boundary_max`, the largest |u| outside, only there.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")

@@ -111,9 +111,12 @@ def test_4_cone_upper_bounds(capfd):
                 continue
             u = cone_field((int(i), int(j)), r, grid, dist)
             uu = ScalarField(grid, np.where(mask.inside, u.u, 0.0))
-            if weighted_mass_p(uu, w, rec.p) <= 0:
+            # inf exactly when the mass is not positive: the plain mass
+            # underflows to 0 for positive ones on small geometries
+            root = rayleigh_root(uu, w, rec.p)
+            if root == np.inf:
                 continue
-            ok &= rec.lambda_root <= rayleigh_root(uu, w, rec.p) + 1e-8
+            ok &= rec.lambda_root <= root + 1e-8
             checked += 1
         ok &= rec.lambda_root <= cone_bound + 1e-8
     report(capfd, 4, "cone upper-bound inequality, 20 random cones per p", ok)

@@ -136,7 +136,7 @@ MALFORMED = {
         lambda hd, body: (hd, ["nan" + body[0][1:]] + body[1:])),
     "field_inf": check_argv(
         lambda hd, body: (hd, ["inf" + body[0][1:]] + body[1:])),
-    # a 0/1 body as save_array writes for a mask
+    # a 0/1 body under "mask", which is no field kind
     "field_kind_mask": check_argv(
         lambda hd, body: ({**hd, "kind": "mask"}, ["1" + body[0][1:]] + body[1:])),
     "field_kind_unknown": check_argv(

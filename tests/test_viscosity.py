@@ -5,8 +5,9 @@ import pytest
 from scipy.ndimage import binary_erosion
 
 from conftest import disk_setup, example1_weight, uniform_weight
-from infeig import (CheckOpts, DomainMask, Grid, ScalarField, WeightField,
-                    check, cone_field, inf_laplacian, viscosity)
+from infeig import (CheckOpts, Disk, DomainMask, Grid, ScalarField,
+                    WeightField, check, cone_field, inf_laplacian, rasterize,
+                    regions_weight, viscosity)
 from infeig.viscosity import (EXCLUDED, NEG, POS, ZERO, ViscosityReport, erode,
                               excluded_nodes, regime_labels)
 
@@ -141,6 +142,23 @@ class TestCheck:
         # an unreachable threshold keeps the apex in, residual blows past tol
         assert not strict.passes["pos"]
 
+    def test_outside_values_reach_only_boundary_max(self):
+        # the ex1 cone on a 65² grid: read by the thresholds, 3 on every
+        # outside node would lift the kink threshold past the apex's slope
+        # jumps and label 161 POS nodes at residual 1.0, where the zeroed
+        # field labels none
+        grid = Grid(65, 65, 2.25 / 64, (-1.125, -1.125))
+        mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+        w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.25), 1.0)], grid, mask)
+        u = cone_field((32, 32), 1.0, grid).u
+        fields = [ScalarField(grid, np.where(mask.inside, u, outside))
+                  for outside in (3.0, 0.0)]
+        three, zero = (check(f, 1.0, w).to_record() for f in fields)
+        assert three.pop("boundary_max") == 3.0
+        assert zero.pop("boundary_max") == 0.0
+        assert three == zero
+        assert np.array_equal(*(regime_labels(f, w) for f in fields))
+
 
 def test_erode_matches_scipy():
     # masks that touch the array edge included: beyond it counts as unset
@@ -200,7 +218,8 @@ def test_stencils_and_kinks_match_expressions_bitwise():
 
 
 def whole_grid_labels(u, w, opts):
-    """regime_labels as one whole-grid computation: the slab oracle."""
+    """regime_labels as one whole-grid computation on u zeroed outside the
+    domain: the slab oracle."""
     inside = w.mask.inside
     core = erode(inside)
     mu = w.m * u.u
@@ -212,7 +231,8 @@ def whole_grid_labels(u, w, opts):
     labels[core & (mu > eps)] = POS
     labels[core & (mu < -eps)] = NEG
     labels[core & erode(small)] = ZERO
-    labels[excluded_nodes(u.u, u.grid.h, opts.kink_tol)] = EXCLUDED
+    zeroed = np.where(inside, u.u, 0.0)
+    labels[excluded_nodes(zeroed, u.grid.h, opts.kink_tol)] = EXCLUDED
     labels[~core] = EXCLUDED
     return labels
 

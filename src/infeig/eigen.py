@@ -187,8 +187,9 @@ def dirichlet_energy_grad(u: ScalarField, p: float,
 
 
 def weighted_mass_p(u: ScalarField, w: WeightField, p: float) -> float:
-    """Nodal quadrature of m |u|^p; sign-changing weights may make it
-    negative or zero."""
+    """Nodal quadrature of m |u|^p, negative or zero for some sign-changing
+    weights. The plain mass underflows to 0.0 for positive masses on small
+    geometries at large p; `rayleigh_root` is the log-safe quantity."""
     _check_p(p)
     return _log_power_sum(np.abs(u.u), w.m, p, u.grid.h)[0]
 

@@ -88,7 +88,8 @@ class DistanceField:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Nodal scalar values; zero on all outside nodes (Dirichlet)."""
+    """Nodal scalar values, zero outside the domain in the solver's fields;
+    `check` reads any outside values only for `boundary_max`."""
 
     grid: Grid
     u: np.ndarray = field(repr=False)

@@ -100,9 +100,9 @@ def _kink_tol(lip, height, h: float):
     return min(KINK_FRACTION, CURVATURE_GUARD * (h / scale) ** (2 / 3)) * lip
 
 
-def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np.ndarray:
+def excluded_nodes(u: np.ndarray, h: float, kink_tol: float) -> np.ndarray:
     """Ridge/kink detector: one-sided first differences disagreeing by more
-    than the threshold in either axis mark the node as excluded."""
+    than the caller's kink_tol in either axis mark the node as excluded."""
     m, n = u.shape
     # one zero-padded difference array per axis: the forward difference at
     # node i is dx[i + 1] and the backward one dx[i], zero past the rim
@@ -112,9 +112,6 @@ def excluded_nodes(u: np.ndarray, h: float, kink_tol: float | None = None) -> np
     dx /= h
     np.subtract(u[:, 1:], u[:, :-1], out=dy[:, 1:-1])
     dy /= h
-    if kink_tol is None:
-        lip = max(np.abs(dx).max(), np.abs(dy).max())
-        kink_tol = _kink_tol(lip, np.abs(u).max(), h)
     return ((np.abs(dx[1:, :] - dx[:-1, :]) > kink_tol)
             | (np.abs(dy[:, 1:] - dy[:, :-1]) > kink_tol))
 
@@ -148,8 +145,8 @@ def _thresholds(u: np.ndarray, w: WeightField, h: float, opts: CheckOpts):
         eps = 1e-12 * max(mu_max, 1.0)
     kink_tol = opts.kink_tol
     if kink_tol is None:
-        # division by h > 0 rounds monotonically: the max of the quotients
-        # is the quotient of the max, as excluded_nodes takes it
+        # compared with excluded_nodes' quotients diff / h, whose max is
+        # max |diff| / h as division by h > 0 rounds monotonically
         kink_tol = _kink_tol(max(dx_max / h, dy_max / h), height, h)
     return eps, kink_tol, float(boundary_max)
 

@@ -21,9 +21,10 @@ from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
 
 
-def eigsh_lambda2_oracle(w):
+def eigsh_lambda2_oracle(w, C=0.0):
     """Smallest generalized eigenvalue of the 5-point quadratic form matching
-    the forward-difference energy, for constant positive weight masks."""
+    the forward-difference energy, for constant positive weight masks; a
+    constant zero-order term C adds C h^2 to the form's diagonal."""
     inside = w.mask.inside
     h = w.grid.h
     idx = np.flatnonzero(inside.ravel())
@@ -52,7 +53,7 @@ def eigsh_lambda2_oracle(w):
         vals += [np.ones(ok2.sum())]
     A = sp.csr_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(N, N))
+                      shape=(N, N)) + sp.eye(N) * (C * h * h)
     mvals = w.m.ravel()[idx]
     M = sp.diags(mvals * h * h).tocsc()
     vals_, _ = spla.eigsh(A, k=1, M=M, sigma=0, which="LM")
@@ -343,6 +344,26 @@ class TestSolver:
         oracle = eigsh_lambda2_oracle(w)
         assert res.converged
         assert res.lambda_root ** 2 == pytest.approx(oracle, rel=1e-6)
+
+    def test_p2_zero_order_two_grid_matches_eigsh(self, monkeypatch):
+        # C = 1 shifts the uniform disk's eigenvalue by 1, and every coarse
+        # refresh of the solve builds the two-grid cycle's factor
+        grid, mask, dist = disk_setup(1 / 40)
+        w = uniform_weight(grid, mask)
+        Cf = ScalarField(grid, np.ones(grid.shape))
+        built = []
+        coarsen = _Stiffness._coarsen
+
+        def recording(stiff, *args):
+            coarsen(stiff, *args)
+            built.append(stiff.W is not None)
+
+        monkeypatch.setattr(_Stiffness, "_coarsen", recording)
+        res = solve_lambda1(w, 2.0, C=Cf, opts=SolverOpts(tol=1e-5), dist=dist)
+        assert built and all(built)
+        assert res.converged
+        assert res.lambda_root ** 2 == pytest.approx(
+            eigsh_lambda2_oracle(w, C=1.0), rel=1e-6)
 
     @pytest.mark.parametrize("a,b,nx,ny", [(17, 9, 23, 14), (9, 17, 14, 23)])
     def test_block_matches_closed_form(self, a, b, nx, ny):

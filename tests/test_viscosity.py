@@ -55,17 +55,25 @@ class TestExcludedNodes:
     def test_smooth_field_keeps_everything(self):
         grid, mask, _ = disk_setup(1 / 32)
         X, Y = grid.coords()
-        kinks = excluded_nodes(0.3 * X + 0.1 * Y, grid.h)
+        kinks = excluded_nodes(0.3 * X + 0.1 * Y, grid.h, 0.05)
         # the index rim has zero-padded one-sided differences; ignore it
         assert not kinks[1:-1, 1:-1].any()
 
     def test_ridge_detected(self):
         grid, mask, _ = disk_setup(1 / 32)
         X, _ = grid.coords()
-        kinks = excluded_nodes(np.abs(X), grid.h)
+        # the slope jumps from -1 to 1 across the ridge only
+        kinks = excluded_nodes(np.abs(X), grid.h, 0.2)
         n2 = grid.nx // 2
         assert kinks[n2, :].all()
         assert not kinks[n2 + 4, :].any()
+
+    def test_threshold_is_required(self):
+        # the caller's threshold is the only one: no default from the field
+        grid, _, _ = disk_setup(1 / 32)
+        X, _ = grid.coords()
+        with pytest.raises(TypeError):
+            excluded_nodes(np.abs(X), grid.h)
 
 
 class TestRegimes:
@@ -206,15 +214,26 @@ def test_stencils_and_kinks_match_expressions_bitwise():
         tol = float(np.abs(u).max() / h * rng.uniform(0.01, 2.0))
         assert np.array_equal(excluded_nodes(u, h, tol),
                               excluded_by_expression(u, h, tol))
-    # the automatic threshold reads the same Lipschitz bound
+    # the automatic threshold from the Lipschitz bound and height of the
+    # cone zeroed outside
     grid, mask, dist = disk_setup(1 / 32)
-    u = cone_field((grid.nx // 2, grid.ny // 2), 0.7, grid, dist).u
-    lip = np.abs(np.diff(u, axis=0)).max() / grid.h
-    lip = max(lip, np.abs(np.diff(u, axis=1)).max() / grid.h)
+    u = cone_field((grid.nx // 2, grid.ny // 2), 0.7, grid, dist)
+    _, tol, _ = viscosity._thresholds(u.u, uniform_weight(grid, mask),
+                                      grid.h, CheckOpts())
+    assert tol == kink_tol_by_expression(np.where(mask.inside, u.u, 0.0),
+                                         grid.h)
+
+
+def kink_tol_by_expression(u, h):
+    """The automatic kink threshold of the whole-grid field u: a fraction of
+    its Lipschitz bound, smaller for a short natural length height / lip;
+    infinite for a flat field."""
+    lip = max(np.abs(np.diff(u, axis=0)).max(initial=0.0) / h,
+              np.abs(np.diff(u, axis=1)).max(initial=0.0) / h)
+    if lip == 0.0:
+        return np.inf
     scale = np.abs(u).max() / lip
-    tol = min(0.2, 0.5 * (grid.h / scale) ** (2 / 3)) * lip
-    assert np.array_equal(excluded_nodes(u, grid.h),
-                          excluded_by_expression(u, grid.h, tol))
+    return min(0.2, 0.5 * (h / scale) ** (2 / 3)) * lip
 
 
 def whole_grid_labels(u, w, opts):
@@ -232,7 +251,10 @@ def whole_grid_labels(u, w, opts):
     labels[core & (mu < -eps)] = NEG
     labels[core & erode(small)] = ZERO
     zeroed = np.where(inside, u.u, 0.0)
-    labels[excluded_nodes(zeroed, u.grid.h, opts.kink_tol)] = EXCLUDED
+    kink_tol = opts.kink_tol
+    if kink_tol is None:
+        kink_tol = kink_tol_by_expression(zeroed, u.grid.h)
+    labels[excluded_nodes(zeroed, u.grid.h, kink_tol)] = EXCLUDED
     labels[~core] = EXCLUDED
     return labels
 

@@ -307,6 +307,27 @@ def test_coarse_factor_only_where_few_nodes_are_floored(monkeypatch):
     assert any(factors)
 
 
+def test_two_grid_cycle_with_zero_order_term(monkeypatch):
+    # ex1 with C = 1: the two-grid cycle together with a zero-order term,
+    # which neither benchmark sweep runs (the strip never has a factor)
+    from infeig import Disk, eigen, rasterize, regions_weight
+    grid = Grid(48, 48, 2.1 / 47, (-1.05, -1.05))
+    mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+    w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.25), 1.0)], grid, mask)
+    C = ScalarField(grid, np.ones(grid.shape))
+    factors = []
+    coarsen = eigen._Stiffness._coarsen
+
+    def record(self, floored, lifted):
+        coarsen(self, floored, lifted)
+        factors.append(self.W is not None)
+
+    monkeypatch.setattr(eigen._Stiffness, "_coarsen", record)
+    results = sweep(w, [4, 16], C=C, dist=edt(mask))[1]
+    assert any(factors)
+    assert all(rec.converged for rec in results)
+
+
 def test_strip_sweep_certifies_at_192():
     # the finest grid has the widest |grad u|^(p-2) contrast at p = 16;
     # every row must still certify within the default max_iter

@@ -13,8 +13,9 @@ from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
                     WeightField, cone_field, dirichlet_energy_p, edt, eigen,
                     mu1, negate, rasterize, regions_weight, solve_lambda1,
                     sweep, two_cone_upper_bound, weighted_mass_p)
-from infeig.eigen import (_COARSE, _FRINGE, _MEMORY, _Memory, _Stiffness,
-                          _invert_lower, _power, _underflow_cut,
+from infeig.eigen import (_COARSE, _FRINGE, _MARGIN, _MEMORY, _Memory,
+                          _Stiffness, _invert_lower, _power, _underflow_cut,
+                          _window,
                           cone_rayleigh_root, dirichlet_energy_grad,
                           rayleigh_root, seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
@@ -802,6 +803,21 @@ class TestLbfgsMemory:
         used = check_h0(np.random.default_rng(7), inside, 2.0)
         assert used == dense_prolongation(inside).shape[1]
 
+    def test_excluded_nodes_count_as_floored(self):
+        # two decades of pg floor no node, so the disk's nodes alone get a
+        # factor; as a window's nodes, the excluded domain nodes beyond them
+        # count as floored, and past a share _FRINGE there is no factor
+        rng = np.random.default_rng(7)
+        inside = disk_inside()
+        _, pg = random_stiffness(rng, 2.0, inside)
+        cells = to_box(pg, inside, rng.random(cell_count(inside)))
+        n = int(inside.sum())
+        for excluded, factored in ((0, True), (n // 9, True),
+                                   (n // 9 + 1, False)):
+            stiff = _Stiffness(inside, excluded)
+            stiff.update(cells)
+            assert (stiff.W is not None) == factored
+
     def test_h0_flushed_region_matches_dense(self):
         # pg exactly 0 on the cells left of the centre line, as large p
         # flushes it: half the nodes are floored, more than a share
@@ -926,6 +942,144 @@ class TestTwoConeBound:
         grid, mask, dist, c1, c2 = self._setup()
         w = example1_weight(grid, mask)  # m = -1 outside r < 0.25
         assert two_cone_upper_bound(8.0, c1, c2, 0.2, w, dist) == math.inf
+
+
+def benchmark_grid(n):
+    """n x n grid on [-1.05, 1.05]^2 with its unit disk and distance field,
+    the benchmark's setup."""
+    grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
+    mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+    return grid, mask, edt(mask)
+
+
+def strip_solve(p, u0=None, callback=None):
+    """The 64 x 64 boundary strip with C = 1, the strip benchmark's setup,
+    solved at p from the seed cone or from u0."""
+    grid, mask, dist = benchmark_grid(64)
+    w = example2_weight(grid, mask)
+    Cf = ScalarField(grid, np.ones(grid.shape))
+    return solve_lambda1(w, p, C=Cf, dist=dist, u0=u0, callback=callback)
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The boxes ``_window`` returns, in order, as (grown, box) with grown
+    True for a box united with an earlier one, and the node counts the
+    solver builds its stiffness on."""
+    calls, counts = [], []
+
+    def record_window(inside, support, box=None):
+        calls.append((box is not None, _window(inside, support, box)))
+        return calls[-1][1]
+
+    class Recording(_Stiffness):
+        def __init__(self, inside, excluded=0):
+            counts.append(int(np.count_nonzero(inside)))
+            super().__init__(inside, excluded)
+
+    monkeypatch.setattr(eigen, "_window", record_window)
+    monkeypatch.setattr(eigen, "_Stiffness", Recording)
+    return calls, counts
+
+
+def whole_box(monkeypatch):
+    monkeypatch.setattr(eigen, "_window", lambda *args: None)
+
+
+class TestWindow:
+    def test_box_and_whole_box_share(self):
+        # the margin-widened box of the support, united with the old box and
+        # clipped to the inside nodes' box; None once at most a share _FRINGE
+        # of the inside nodes would lie outside
+        _, mask, _ = benchmark_grid(64)
+        inside = mask.inside
+        total = inside.sum()
+        support = np.zeros_like(inside)
+        support[30, 40] = True
+        box = _window(inside, support)
+        assert box == (30 - _MARGIN, 31 + _MARGIN, 40 - _MARGIN, 41 + _MARGIN)
+        assert _window(inside, support, (10, 20, 5, 60)) == (10, 35, 5, 60)
+        rows = np.flatnonzero(inside.any(axis=1))
+        support[rows[0] + 1] = True
+        assert _window(inside, support)[:2] == (rows[0], 35)
+        for half in range(1, 32):
+            support[:] = False
+            support[32 - half:32 + half, 32 - half:32 + half] = True
+            box = _window(inside, support)
+            lo, hi = 32 - half - _MARGIN, 32 + half + _MARGIN
+            outside = total - inside[max(lo, 0):hi, max(lo, 0):hi].sum()
+            assert (box is None) == (outside / total <= _FRINGE)
+        assert _window(inside, inside) is None
+
+    def test_ex1_sweep_matches_whole_box(self, monkeypatch, windows):
+        # ex1 at 96 x 96 (at 48 x 48 its seed cone's window would already
+        # leave out at most a share _FRINGE): a smooth case, so the window
+        # changes only the order of sums
+        calls, counts = windows
+        grid, mask, dist = benchmark_grid(96)
+        w = example1_weight(grid, mask)
+        _, got, _ = sweep(w, [4, 8, 16, 32], dist=dist)
+        assert calls[0][1] is not None and counts[0] < mask.inside.sum()
+        whole_box(monkeypatch)
+        _, ref, _ = sweep(w, [4, 8, 16, 32], dist=dist)
+        for a, b in zip(got, ref, strict=True):
+            assert a.converged and b.converged
+            assert a.iterations == b.iterations
+            assert a.lambda_root == pytest.approx(b.lambda_root, rel=1e-12)
+            assert np.abs(a.field.u - b.field.u).max() <= 1e-10
+
+    def test_strip_cold_solve_grows_exactly(self, monkeypatch, windows):
+        # the strip's p = 16 cone grows its window three times and never
+        # reaches the whole box; log lambda follows the whole-box solve's
+        # through the first growth, after the 7th step, until the strip's
+        # chaos amplifies the order of the sums
+        calls, _ = windows
+        got = []
+        res = strip_solve(16.0, callback=lambda v: got.append((v, len(calls))))
+        assert res.converged
+        assert not calls[0][0] and all(grown for grown, _ in calls[1:])
+        assert len(calls) > 1 and all(box is not None for _, box in calls)
+        before = sum(n == 1 for _, n in got)  # steps before the first growth
+        assert before < 9
+        whole_box(monkeypatch)
+        ref = []
+        strip_solve(16.0, callback=ref.append)
+        assert [v for v, _ in got[:9]] == pytest.approx(ref[:9], rel=1e-12)
+
+    def test_strip_warm_solve_is_zero_outside_its_window(self, monkeypatch,
+                                                          windows):
+        calls, _ = windows
+        cold = strip_solve(16.0)
+        calls.clear()
+        got = []
+        res = strip_solve(64.0, u0=cold.field, callback=got.append)
+        assert res.converged
+        r0, r1, c0, c1 = calls[-1][1]
+        outside = np.ones(res.field.u.shape, bool)
+        outside[r0:r1, c0:c1] = False
+        assert (res.field.u[outside] == 0.0).all()
+        whole_box(monkeypatch)
+        ref = []
+        strip_solve(64.0, u0=cold.field, callback=ref.append)
+        assert got[:4] == pytest.approx(ref[:4], rel=1e-13)
+
+    def test_p2_runs_on_the_whole_box(self, windows):
+        # pg = gn^0 = 1 on cells with zero differences: a zero node moves
+        calls, counts = windows
+        res = strip_solve(2.0)
+        assert res.converged
+        assert not calls
+        assert counts == [benchmark_grid(64)[1].inside.sum()]
+
+    def test_window_holding_most_nodes_runs_on_the_whole_box(self, windows):
+        # ex1's 48 x 48 seed cone: its widened box leaves out at most a
+        # share _FRINGE of the inside nodes
+        calls, counts = windows
+        grid, mask, dist = benchmark_grid(48)
+        res = solve_lambda1(example1_weight(grid, mask), 4.0, dist=dist)
+        assert res.converged
+        assert calls == [(False, None)]
+        assert counts == [mask.inside.sum()]
 
 
 class TestSweep:

@@ -70,14 +70,15 @@ SHAPE_KEYS = {"disk": {"center", "radius"}, "rect": {"min", "max"},
               "polygon": {"vertices"}}
 
 
-def _parse_shape(d: dict, where: str, extra: set = frozenset()):
-    """A domain or region shape; the `extra` keys are required too."""
+def _parse_shape(d: dict, where: str, region: bool = False):
+    """A domain shape, or with `region` a weight region's: a value, no op."""
     kind = d.get("shape") if isinstance(d, dict) else None
     if kind not in SHAPE_KEYS:
         raise ConfigError(f"{where}: shape must be one of "
                           f"{sorted(SHAPE_KEYS)}, got {kind!r}")
-    required = SHAPE_KEYS[kind] | extra
-    _require_keys(d, {"shape", "op"} | required, required, where)
+    required = SHAPE_KEYS[kind] | ({"value"} if region else set())
+    optional = set() if region else {"op"}
+    _require_keys(d, {"shape"} | required | optional, required, where)
     op = d.get("op", "union")
     if op not in ("union", "difference"):
         raise ConfigError(f"{where}: op must be union or difference, got {op!r}")
@@ -92,6 +93,8 @@ def _parse_shape(d: dict, where: str, extra: set = frozenset()):
                               f"got min {list(lo)}, max {list(hi)}")
         return Rect(lo, hi, op)
     verts = _list(d["vertices"], f"{where}.vertices")
+    if len(verts) < 3:
+        raise ConfigError(f"{where}.vertices: a polygon needs 3 or more")
     return Polygon(tuple(_numbers(v, f"{where}.vertex", 2) for v in verts), op)
 
 
@@ -159,7 +162,7 @@ def parse_config(raw: dict) -> RunConfig:
     kind = wspec.get("kind") if isinstance(wspec, dict) else None
     if kind == "regions":
         _require_keys(wspec, {"kind", "background", "regions"}, set(), "weight")
-        regions = tuple((_parse_shape(r, f"weight.regions[{i}]", {"value"}),
+        regions = tuple((_parse_shape(r, f"weight.regions[{i}]", region=True),
                          _number(r["value"], f"weight.regions[{i}].value"))
                         for i, r in enumerate(_list(wspec.get("regions", []),
                                                     "weight.regions")))
@@ -215,7 +218,10 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError(f"viscosity.eps_regime must be >= 0, "
                           f"got {v['eps_regime']!r}")
 
+    prefix = raw.get("output_prefix", "run")
+    if not (isinstance(prefix, str) and prefix):
+        raise ConfigError(f"output_prefix {prefix!r} is not a nonempty string")
+
     return RunConfig(grid=grid, domain=domain, make_weight=make_weight,
                      zero_order=zo, p_list=p_list, solver=solver, pack=pack,
-                     viscosity=visc,
-                     output_prefix=str(raw.get("output_prefix", "run")))
+                     viscosity=visc, output_prefix=prefix)

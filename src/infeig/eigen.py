@@ -25,25 +25,26 @@ flushed term is below the last bit of any sum.
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
 trial reuse, and keeps its L-BFGS memory with the pairs' Gram matrix, so a
-direction applies H0 once. Its node and cell arrays live on the row-major
-box of the inside nodes, collar included (``_Stiffness``), so the cell
-differences and the stiffness scatter are contiguous 1-D slices, not
-strided 2-D views, and they scale with the domain's box, not with the
-grid. The public
-kernels stay on the 2-D grid and are the reference the tests hold the
-solver to.
+direction applies H0 once; the public kernels, on the 2-D grid, are the
+reference the tests hold it to.
 
-At p > 2 the solver iterates only on a window: the inside nodes of an
-index box around the iterate's support, _MARGIN nodes wider, that only
-grows. A node that has never been nonzero and whose cell neighbours are 0
-has df = 0, zero rows in the L-BFGS memory and pg = 0 on its cells, so
-the direction is 0 there and it stays exactly 0; the window grows
-whenever an accepted step leaves the iterate nonzero on its two outer
-rows or columns, so every node outside it is such a node, and the result
-is the whole box's up to the order of floating-point sums. As p grows
-the eigenfunctions concentrate and ``_power`` flushes their tails to 0:
-the 64 x 64 boundary strip's certified fields are 0 on 81 % of the
-inside nodes, and its windows hold 12-31 % of them.
+It iterates on the inside nodes of a window, an index box that only grows;
+the whole box, the ``index_box`` of the inside nodes, is the window over
+all of them. The node and cell arrays live on the row-major box of the
+window's nodes, collar included (``_Stiffness``), so the cell differences
+and the stiffness scatter are contiguous 1-D slices, not strided 2-D
+views, and they scale with the window, not with the grid. At p > 2 a solve
+starts on its starting field's support box, _MARGIN nodes wider, unless
+that leaves out at most a share _FRINGE of the nodes. A node that has
+never been nonzero and whose cell neighbours are 0 has df = 0, zero rows
+in the L-BFGS memory and pg = 0 on its cells, so the direction is 0 there
+and it stays exactly 0; the window grows whenever an accepted step leaves
+the iterate nonzero on its two outer rows or columns, so every node
+outside it is such a node, and the result is the whole box's up to the
+order of floating-point sums. As p grows the eigenfunctions concentrate
+and ``_power`` flushes their tails to 0: the 64 x 64 boundary strip's
+certified fields are 0 on 81 % of the inside nodes, and its windows hold
+12-31 % of them.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 
 from .errors import NoNegativeRegionError, SeedMassError
 from .geometry import cone_field, lambda1_limit, r_plus, two_cone_field
-from .grid import DistanceField, ScalarField, edt
+from .grid import DistanceField, ScalarField, edt, index_box
 from .weight import WeightField, negate
 
 P_MAX = 64.0
@@ -89,9 +90,12 @@ class EigenResult:
     field: ScalarField
     iterations: int
     final_step: float
-    converged: bool
     residual: float  # relative KKT residual at the returned field
     stop: str  # "tol", "max_iter", "line_search" or "nonfinite"
+
+    @property
+    def converged(self) -> bool:  # the KKT residual reached the tolerance
+        return self.stop == "tol"
 
 
 def _check_p(p: float) -> None:
@@ -277,30 +281,28 @@ def _hat_pairs(hats: np.ndarray):
 
 
 def _window(inside: np.ndarray, support: np.ndarray, box=None):
-    """Half-open index box (r0, r1, c0, c1) of a solve's window: the
-    box of the nonempty grid mask ``support`` widened by _MARGIN nodes,
-    united with ``box`` and clipped to the box of the inside nodes. None,
-    for the whole box, unless more than a share _FRINGE of the inside nodes
-    lies outside it, so that no coarse factor can exist (``_Stiffness``)."""
-    ends = []
-    for axis in (1, 0):
-        lo, hi = np.flatnonzero(support.any(axis=axis))[[0, -1]]
-        first, last = np.flatnonzero(inside.any(axis=axis))[[0, -1]]
-        ends += [int(max(lo - _MARGIN, first)),
-                 int(min(hi + _MARGIN, last)) + 1]
+    """Half-open index box (r0, r1, c0, c1) of a solve's window: the box of
+    the nonempty grid mask ``support`` widened by _MARGIN nodes, united
+    with ``box`` and clipped to the whole box, ``index_box(inside)``, which
+    it is unless more than a share _FRINGE of the inside nodes lies outside
+    it, so that no coarse factor can exist (``_Stiffness``)."""
+    whole = index_box(inside)
+    r0, r1, c0, c1 = index_box(support)
+    r0, r1, c0, c1 = r0 - _MARGIN, r1 + _MARGIN, c0 - _MARGIN, c1 + _MARGIN
     if box is not None:
-        ends = [min(ends[0], box[0]), max(ends[1], box[1]),
-                min(ends[2], box[2]), max(ends[3], box[3])]
-    r0, r1, c0, c1 = ends
+        r0, r1 = min(r0, box[0]), max(r1, box[1])
+        c0, c1 = min(c0, box[2]), max(c1, box[3])
+    r0, r1 = max(r0, whole[0]), min(r1, whole[1])
+    c0, c1 = max(c0, whole[2]), min(c1, whole[3])
     total = np.count_nonzero(inside)
     outside = total - np.count_nonzero(inside[r0:r1, c0:c1])
-    return (r0, r1, c0, c1) if outside / total > _FRINGE else None
+    return (r0, r1, c0, c1) if outside / total > _FRINGE else whole
 
 
 class _Stiffness:
     """The lagged-diffusivity cell stiffness A(u) on the node set ``inside``
-    (all inside nodes, or a solve window's) and the L-BFGS initial Hessian
-    built on it: the symmetric two-grid cycle
+    (a solve window's) and the L-BFGS initial Hessian built on it: the
+    symmetric two-grid cycle
     x = M q, x += P Ac^-1 P^T (q - A x), x += M (q - A x), with M = _OMEGA D
     and Ac = P^T Abar P, while a coarse factor exists, else the one-level
     step D - _CHEB D A D. As an operator the cycle is
@@ -333,16 +335,16 @@ class _Stiffness:
     more than a share _FRINGE of the domain's inside nodes is floored
     (92-99 % on the boundary strip, whose one or two active hats cost the
     cycle iterations), with no active node, or when the factorization
-    fails. The share counts the ``excluded`` domain nodes beyond a
-    window's nodes as floored, since the field and pg are 0 there and so
-    is their diag A; a window leaves out more than that share
+    fails. The share counts the ``excluded`` domain nodes beyond the
+    window as floored, since the field and pg are 0 there and so is their
+    diag A. A window short of the whole box leaves out more than that share
     (``_window``), so it never has a factor, as the whole-box solve has
-    none at that iterate.
+    none at that iterate; on the whole box ``excluded`` is 0.
     ``h0_quad`` is the additive two-level form y . (D - _CHEB D A D) y +
     |W P^T y|^2, which scales H0 in the two-loop recursion.
 
-    Every cell array lives on the box of the inside nodes, collar row and
-    column included, in row-major order: with bx x by box nodes there are
+    Every cell array lives on the ``index_box`` of the nodes, collar row
+    and column included, in row-major order: with bx x by box nodes there are
     L = (bx - 1) by cells, cell k based at box node k with its +x corner
     at k + by and its +y corner at k + 1. The differences and the scatter
     are then contiguous 1-D slices, and every array scales with the box,
@@ -354,11 +356,9 @@ class _Stiffness:
 
     def __init__(self, inside: np.ndarray, excluded: int = 0):
         self.excluded = excluded  # domain nodes beyond ``inside``, diag A = 0
-        rows = np.flatnonzero(inside.any(axis=1))
-        cols = np.flatnonzero(inside.any(axis=0))
+        r0, r1, c0, c1 = index_box(inside)
         # a contiguous copy, so that its ravel() in the gather is a view
-        self.box_inside = inside[rows[0] - 1:rows[-1] + 2,
-                                 cols[0] - 1:cols[-1] + 2].copy()
+        self.box_inside = inside[r0 - 1:r1 + 1, c0 - 1:c1 + 1].copy()
         bx, by = self.box_inside.shape
         self.by, self.L = by, (bx - 1) * by
         self.box = np.zeros((bx, by))  # zero outside the inside nodes
@@ -593,20 +593,20 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     ValueError. The field is normalized to unit weighted p-mass, and
     ``lambda_root`` is exp(log lambda / p), finite where lambda overflows.
 
-    At p > 2 the solve starts on the window of its starting field: the
-    inside nodes of its support's index box widened by ``_MARGIN`` nodes.
-    The window grows to the union with the new such box after each
+    The window is an index box; the whole box, ``index_box`` of the inside
+    nodes, is the window over all of them and the one used at p = 2, where
+    pg = 1 on cells with zero differences. At p > 2 the window starts as
+    the starting field's support box widened by ``_MARGIN`` nodes
+    (``_window``), and grows to the union with the new such box after each
     accepted step that leaves the iterate nonzero on its two outer rows or
-    columns of a side with inside nodes beyond it; the iterate, gradient
+    columns of a side strictly inside the whole box. The iterate, gradient
     and memory pairs are padded with zeros, which leaves their Gram matrix
-    as it is, and the stiffness is rebuilt at the iterate with its update
-    count kept. The solve runs on the whole box at p = 2, where pg = 1 on
-    cells with zero differences, and from the point where at most a share
-    ``_FRINGE`` of the inside nodes would lie outside the window. Outside
-    it the iterate, df, the memory pairs and pg stay exactly 0 (module
-    docstring), so the field is the whole-box solve's up to the order of
-    floating-point sums. On a solve as chaotic as the strip's, that order
-    still moves the iteration count and the root's 7th digit.
+    as it is, and the stiffness is rebuilt with its update count kept. Once
+    at most a share ``_FRINGE`` of the inside nodes would lie outside, the
+    window is the whole box. Outside it the iterate, df, the memory pairs
+    and pg stay exactly 0 (module docstring), so the field is the whole-box
+    solve's up to the order of floating-point sums; on a solve as chaotic
+    as the strip's, that order moves the iteration count and the 7th digit.
     """
     _check_p(p)
     for name, f in (("u0", u0), ("C", C)):
@@ -619,34 +619,26 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     grid = w.grid
     inside = w.mask.inside
     total = np.count_nonzero(inside)
+    whole = index_box(inside)  # the window over every inside node
     h = grid.h
     log_h = math.log(h)
-    # the window's box (None for the whole box), its inside nodes, the
-    # positions among them of those on the two outer rows or columns of a
-    # side it can grow across, and the arrays on its nodes; set by ``enter``
+    # the window's box, its inside nodes, the positions among them of those
+    # on the two outer rows or columns of a side it can grow across, and
+    # the arrays on its nodes; set by ``enter``
     box = nodes = rim = m = c_in = stiff = None
 
     def enter(new_box):
-        """Move the solve onto the inside nodes of ``new_box``, all of them
-        when it is None, with a stiffness built for them after the old one
-        is freed."""
+        """Move the solve onto the inside nodes of ``new_box``, with a
+        stiffness built for them after the old one is freed."""
         nonlocal box, nodes, rim, m, c_in, stiff
-        box, nodes, rim = new_box, inside, None
-        if box is not None:
-            r0, r1, c0, c1 = box
-            nodes = np.zeros_like(inside)
-            nodes[r0:r1, c0:c1] = inside[r0:r1, c0:c1]
-            edge = np.zeros_like(inside)
-            # a side at the box of the inside nodes has nothing to grow into
-            if inside[:r0].any():
-                edge[r0:r0 + 2] = True
-            if inside[r1:].any():
-                edge[r1 - 2:r1] = True
-            if inside[:, :c0].any():
-                edge[:, c0:c0 + 2] = True
-            if inside[:, c1:].any():
-                edge[:, c1 - 2:c1] = True
-            rim = np.flatnonzero(edge[nodes])
+        box = r0, r1, c0, c1 = new_box
+        nodes = np.zeros_like(inside)
+        nodes[r0:r1, c0:c1] = inside[r0:r1, c0:c1]
+        # the box less two rows or columns on each side inside the whole box
+        inner = np.zeros_like(inside)
+        inner[r0 + 2 * (r0 > whole[0]):r1 - 2 * (r1 < whole[1]),
+              c0 + 2 * (c0 > whole[2]):c1 - 2 * (c1 < whole[3])] = True
+        rim = np.flatnonzero(~inner[nodes])
         m = w.m[nodes]
         c_in = None if C is None else C.u[nodes]
         stiff = None
@@ -724,8 +716,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
 
     def start(u):
         """(x, evaluation) at the grid field u >= 0, zero outside, on the
-        window of its support (the whole box at p = 2)."""
-        enter(_window(inside, u > 0) if p > 2 and u.any() else None)
+        window of its support (the whole box at p = 2 or for u = 0)."""
+        enter(_window(inside, u > 0) if p > 2 and u.any() else whole)
         x = u[nodes]
         return x, evaluate(x)
 
@@ -791,7 +783,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if s @ y > _CURV * (y @ y):
             memory.push(s, y)
         x, g = xt, gt
-        if rim is not None and x[rim].any():
+        if x[rim].any():
             x, g = grow(x, g)
 
     u = np.zeros(inside.shape)
@@ -799,8 +791,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     u *= math.exp(-logG / p)
     return EigenResult(p=p, lambda_root=math.exp(loglam / p),
                        field=ScalarField(grid, u), iterations=it,
-                       final_step=tau, converged=stop == "tol", residual=kkt,
-                       stop=stop)
+                       final_step=tau, residual=kkt, stop=stop)
 
 
 def mu1(w: WeightField, p: float, opts: SolverOpts | None = None,

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import GeometryError, InfeasiblePackingError, NoPositiveRegionError
-from .grid import DistanceField, Grid, ScalarField
+from .grid import DistanceField, Grid, ScalarField, index_box
 from .weight import WeightField
 
 @dataclass(frozen=True)
@@ -130,11 +130,9 @@ def _witness(sel: np.ndarray, k: int, h: float):
     half, centers = _farthest_pair(sel, h)
     if k == 2:
         return half, centers
-    rows = np.flatnonzero(sel.any(axis=1))
-    cols = np.flatnonzero(sel.any(axis=0))
-    box = sel[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    I = np.arange(rows[0], rows[-1] + 1)
-    J = np.arange(cols[0], cols[-1] + 1)
+    r0, r1, c0, c1 = index_box(sel)
+    box = sel[r0:r1, c0:c1]
+    I, J = np.arange(r0, r1), np.arange(c0, c1)
 
     def sq(c):
         return ((I - c[0]) ** 2)[:, None] + ((J - c[1]) ** 2)[None, :]
@@ -145,8 +143,8 @@ def _witness(sel: np.ndarray, k: int, h: float):
     for step in range(k - 2):
         # flat indices: np.nonzero on the 2-D array costs ~6x more
         ti, tj = np.divmod(np.flatnonzero(d2 == d2.max()), box.shape[1])
-        ti += rows[0]
-        tj += cols[0]
+        ti += r0
+        tj += c0
         near = np.min([np.hypot(ti - i, tj - j) for i, j in centers], axis=0)
         a = int(np.argmax(near))
         half = min(half, 0.5 * h * float(near[a]))
@@ -187,9 +185,8 @@ def _search_pack(d: np.ndarray, plus_mask: np.ndarray, h: float, k: int):
     only: the witness reads index differences and row order, which the
     crop keeps, so radius and centres are those of the whole grid.
     """
-    rows = np.flatnonzero(plus_mask.any(axis=1))
-    cols = np.flatnonzero(plus_mask.any(axis=0))
-    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    top, bottom, left, right = index_box(plus_mask)
+    box = np.s_[top:bottom, left:right]
     d, plus_mask = d[box], plus_mask[box]
     levels = np.unique(d[plus_mask])
     lo, hi = 0, len(levels)
@@ -219,8 +216,7 @@ def _search_pack(d: np.ndarray, plus_mask: np.ndarray, h: float, k: int):
             misses = 0 if hi - lo <= width // 2 else misses + 1
     radius, centers, _ = max((c for c in (below, above) if c is not None),
                              key=lambda c: c[0])
-    return radius, tuple((i + int(rows[0]), j + int(cols[0]))
-                         for i, j in centers)
+    return radius, tuple((i + top, j + left) for i, j in centers)
 
 
 def pack(k: int, dist: DistanceField, plus_mask: np.ndarray,

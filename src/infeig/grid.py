@@ -78,6 +78,12 @@ class DomainMask:
             raise ValueError("mask violates the one-node outside collar")
 
 
+def index_box(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """Half-open box (r0, r1, c0, c1) of a nonempty mask's set nodes."""
+    rows, cols = (np.flatnonzero(mask.any(axis=a)) for a in (1, 0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 @dataclass(frozen=True)
 class DistanceField:
     """Exact node-to-node Euclidean distance to the outside set."""

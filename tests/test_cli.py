@@ -175,6 +175,24 @@ MALFORMED = {
         "kind": "regions", "background": -1.0, "regions": [
             {"shape": "disk", "center": [0.0, 0.0], "radius": -0.5,
              "value": 1.0}]}),
+    # str() made these None_limits.json, ['a', 'b']_limits.json and
+    # _limits.json in the working directory
+    "output_prefix_null": config_argv("limits", output_prefix=None),
+    "output_prefix_list": config_argv("limits", output_prefix=["a", "b"]),
+    "output_prefix_empty": config_argv("limits", output_prefix=""),
+    # a region's op was accepted and ignored
+    "region_op": config_argv("limits", weight={
+        "kind": "regions", "background": -1.0, "regions": [
+            {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5,
+             "value": 1.0, "op": "difference"}]}),
+    # a polygon of fewer than 3 vertices covers no node
+    "domain_polygon_no_vertices": config_argv("limits", domain=[
+        {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        {"shape": "polygon", "vertices": []}]),
+    "region_polygon_two_vertices": config_argv("limits", weight={
+        "kind": "regions", "background": 1.0, "regions": [
+            {"shape": "polygon", "vertices": [[0.0, 0.0], [0.5, 0.5]],
+             "value": -1.0}]}),
     "rect_reversed": config_argv("limits", domain=[
         {"shape": "rect", "min": [-1.0, 1.0], "max": [1.0, -1.0]}]),
     "grid_nx_null": config_argv("limits",

@@ -20,6 +20,7 @@ from infeig.eigen import (_COARSE, _FRINGE, _MARGIN, _MEMORY, _Memory,
                           rayleigh_root, seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
 from infeig.geometry import r_plus
+from infeig.grid import index_box
 
 
 def eigsh_lambda2_oracle(w, C=0.0):
@@ -964,9 +965,9 @@ def strip_solve(p, u0=None, callback=None):
 @pytest.fixture
 def windows(monkeypatch):
     """The boxes ``_window`` returns, in order, as (grown, box) with grown
-    True for a box united with an earlier one, and the node counts the
-    solver builds its stiffness on."""
-    calls, counts = [], []
+    True for a box united with an earlier one, and the node counts and node
+    masks the solver builds its stiffness on."""
+    calls, counts, masks = [], [], []
 
     def record_window(inside, support, box=None):
         calls.append((box is not None, _window(inside, support, box)))
@@ -975,24 +976,27 @@ def windows(monkeypatch):
     class Recording(_Stiffness):
         def __init__(self, inside, excluded=0):
             counts.append(int(np.count_nonzero(inside)))
+            masks.append(inside.copy())
             super().__init__(inside, excluded)
 
     monkeypatch.setattr(eigen, "_window", record_window)
     monkeypatch.setattr(eigen, "_Stiffness", Recording)
-    return calls, counts
+    return calls, counts, masks
 
 
 def whole_box(monkeypatch):
-    monkeypatch.setattr(eigen, "_window", lambda *args: None)
+    monkeypatch.setattr(eigen, "_window",
+                        lambda inside, *args: index_box(inside))
 
 
 class TestWindow:
     def test_box_and_whole_box_share(self):
         # the margin-widened box of the support, united with the old box and
-        # clipped to the inside nodes' box; None once at most a share _FRINGE
-        # of the inside nodes would lie outside
+        # clipped to the inside nodes' box; that whole box once at most a
+        # share _FRINGE of the inside nodes would lie outside
         _, mask, _ = benchmark_grid(64)
         inside = mask.inside
+        whole = index_box(inside)
         total = inside.sum()
         support = np.zeros_like(inside)
         support[30, 40] = True
@@ -1008,18 +1012,19 @@ class TestWindow:
             box = _window(inside, support)
             lo, hi = 32 - half - _MARGIN, 32 + half + _MARGIN
             outside = total - inside[max(lo, 0):hi, max(lo, 0):hi].sum()
-            assert (box is None) == (outside / total <= _FRINGE)
-        assert _window(inside, inside) is None
+            assert (box == whole) == (outside / total <= _FRINGE)
+        assert _window(inside, inside) == whole
 
     def test_ex1_sweep_matches_whole_box(self, monkeypatch, windows):
         # ex1 at 96 x 96 (at 48 x 48 its seed cone's window would already
         # leave out at most a share _FRINGE): a smooth case, so the window
         # changes only the order of sums
-        calls, counts = windows
+        calls, counts, _ = windows
         grid, mask, dist = benchmark_grid(96)
         w = example1_weight(grid, mask)
         _, got, _ = sweep(w, [4, 8, 16, 32], dist=dist)
-        assert calls[0][1] is not None and counts[0] < mask.inside.sum()
+        assert calls[0][1] != index_box(mask.inside)
+        assert counts[0] < mask.inside.sum()
         whole_box(monkeypatch)
         _, ref, _ = sweep(w, [4, 8, 16, 32], dist=dist)
         for a, b in zip(got, ref, strict=True):
@@ -1033,12 +1038,13 @@ class TestWindow:
         # reaches the whole box; log lambda follows the whole-box solve's
         # through the first growth, after the 7th step, until the strip's
         # chaos amplifies the order of the sums
-        calls, _ = windows
+        calls, _, _ = windows
+        whole = index_box(benchmark_grid(64)[1].inside)
         got = []
         res = strip_solve(16.0, callback=lambda v: got.append((v, len(calls))))
         assert res.converged
         assert not calls[0][0] and all(grown for grown, _ in calls[1:])
-        assert len(calls) > 1 and all(box is not None for _, box in calls)
+        assert len(calls) > 1 and all(box != whole for _, box in calls)
         before = sum(n == 1 for _, n in got)  # steps before the first growth
         assert before < 9
         whole_box(monkeypatch)
@@ -1048,7 +1054,7 @@ class TestWindow:
 
     def test_strip_warm_solve_is_zero_outside_its_window(self, monkeypatch,
                                                           windows):
-        calls, _ = windows
+        calls, _, _ = windows
         cold = strip_solve(16.0)
         calls.clear()
         got = []
@@ -1065,21 +1071,25 @@ class TestWindow:
 
     def test_p2_runs_on_the_whole_box(self, windows):
         # pg = gn^0 = 1 on cells with zero differences: a zero node moves
-        calls, counts = windows
+        calls, counts, masks = windows
+        inside = benchmark_grid(64)[1].inside
         res = strip_solve(2.0)
         assert res.converged
         assert not calls
-        assert counts == [benchmark_grid(64)[1].inside.sum()]
+        assert counts == [inside.sum()]
+        assert index_box(masks[0]) == index_box(inside)
+        assert np.array_equal(masks[0], inside)
 
     def test_window_holding_most_nodes_runs_on_the_whole_box(self, windows):
         # ex1's 48 x 48 seed cone: its widened box leaves out at most a
         # share _FRINGE of the inside nodes
-        calls, counts = windows
+        calls, counts, masks = windows
         grid, mask, dist = benchmark_grid(48)
         res = solve_lambda1(example1_weight(grid, mask), 4.0, dist=dist)
         assert res.converged
-        assert calls == [(False, None)]
+        assert calls == [(False, index_box(mask.inside))]
         assert counts == [mask.inside.sum()]
+        assert np.array_equal(masks[0], mask.inside)
 
 
 class TestSweep:

@@ -9,7 +9,7 @@ from conftest import (MIXED_GRID, MIXED_SHAPES, brute_force_edt, disk_setup,
 from infeig import Disk, DomainMask, Grid, Rect, Polygon, edt, rasterize
 from infeig.errors import ConfigError, DegenerateDomainError
 from infeig import fieldio
-from infeig.grid import squared_edt
+from infeig.grid import index_box, squared_edt
 
 
 def test_grid_invariants():
@@ -81,6 +81,31 @@ def test_collar_enforced():
     g = Grid(9, 9, 1.0, (0.0, 0.0))
     mask = rasterize([Rect((-1.0, -1.0), (9.0, 9.0))], g)
     assert not mask.inside[0, :].any() and not mask.inside[:, -1].any()
+
+
+def argwhere_box(mask):
+    """The index box from the coordinates of every set node."""
+    ij = np.argwhere(mask)
+    (r0, c0), (r1, c1) = ij.min(axis=0), ij.max(axis=0) + 1
+    return int(r0), int(r1), int(c0), int(c1)
+
+
+def test_index_box_matches_argwhere():
+    rng = np.random.default_rng(11)
+    for fill in (0.002, 0.05, 0.45):
+        for _ in range(40):
+            mask = random_mask(rng, n=int(rng.integers(3, 40)), fill=fill)
+            assert index_box(mask) == argwhere_box(mask)
+    one = np.zeros((9, 13), bool)
+    one[4, 7] = True
+    assert index_box(one) == argwhere_box(one) == (4, 5, 7, 8)
+    # set nodes on the first and last rows and columns, where the
+    # collar of a domain mask is
+    edge = np.zeros((9, 13), bool)
+    edge[0, 3] = edge[8, 5] = edge[2, 0] = edge[6, 12] = True
+    assert index_box(edge) == argwhere_box(edge) == (0, 9, 0, 13)
+    # Python ints, so that offsets added to them stay Python ints
+    assert all(type(e) is int for e in index_box(edge))
 
 
 def test_edt_center_of_block():

@@ -140,6 +140,12 @@ class Polygon:
     vertices: tuple[tuple[float, float], ...]
     op: str = "union"
 
+    def __post_init__(self):
+        # fewer vertices enclose no area, so the shape would cover no node
+        if len(self.vertices) < 3:
+            raise ValueError(f"a polygon needs 3 or more vertices, got "
+                             f"{len(self.vertices)}")
+
     def contains(self, X, Y):
         vx = np.array([v[0] for v in self.vertices])
         vy = np.array([v[1] for v in self.vertices])

@@ -262,16 +262,16 @@ def test_ex1_iterations_flat_in_grid():
     assert totals[1] <= 1.6 * totals[0]
 
 
-def strip_sweep(n):
+def strip_sweep(n, p_list=(16, 64)):
     """Boundary-strip weight (m = +1 for r > 0.8) with C = 1 on an n x n
-    grid, swept at p = 16, 64: the configuration of the strip benchmark.
-    Returns the solver's results."""
+    grid, swept over p_list; at p = 16, 64 the configuration of the strip
+    benchmark. Returns the solver's results."""
     from infeig import Disk, rasterize, regions_weight
     grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
     mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
     w = regions_weight(1.0, [(Disk((0.0, 0.0), 0.8), -1.0)], grid, mask)
     C = ScalarField(grid, np.ones(grid.shape))
-    return sweep(w, [16, 64], C=C, dist=edt(mask))[1]
+    return sweep(w, p_list, C=C, dist=edt(mask))[1]
 
 
 # bench/refs.json: the strip sweep's roots polished by L-BFGS-B
@@ -332,3 +332,28 @@ def test_strip_sweep_certifies_at_192():
     # the finest grid has the widest |grad u|^(p-2) contrast at p = 16;
     # every row must still certify within the default max_iter
     assert all(rec.converged for rec in strip_sweep(192))
+
+
+def _assert_certified_and_finite(results):
+    assert [rec.stop for rec in results] == ["tol"] * len(results)
+    roots = [rec.lambda_root for rec in results]
+    assert all(a > b for a, b in zip(roots, roots[1:]))
+    for rec in results:
+        assert all(math.isfinite(x) for x in (
+            rec.p, rec.lambda_root, rec.iterations, rec.final_step,
+            rec.residual))
+        assert np.isfinite(rec.field.u).all()
+
+
+def test_sweep_certifies_far_past_p_64():
+    # log space keeps every power finite (RuntimeWarnings are errors in
+    # this suite), so a warm-started p list certifies at p = 16384; the
+    # iteration counts at large p move with the BLAS thread count, so
+    # none is asserted
+    from infeig import Disk, rasterize
+    grid = Grid(48, 48, 2.1 / 47, (-1.05, -1.05))
+    mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
+    _assert_certified_and_finite(sweep(example1_weight(grid, mask),
+                                       [4, 64, 1024, 16384],
+                                       dist=edt(mask))[1])
+    _assert_certified_and_finite(strip_sweep(64, [16, 64, 1024, 16384]))

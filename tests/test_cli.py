@@ -51,9 +51,12 @@ class TestConfig:
             parse_config(raw)
 
     def test_p_out_of_range(self, tmp_path):
+        # p has no upper bound: log space keeps every finite p's powers finite
         _, raw = disk_config(tmp_path)
         raw["p_list"] = [4, 100]
-        with pytest.raises(ConfigError, match="100"):
+        assert parse_config(raw).p_list == (4.0, 100.0)
+        raw["p_list"] = [1.5]
+        with pytest.raises(ConfigError, match=r"p_list.*\[1\.5\]"):
             parse_config(raw)
 
     def test_viscosity_auto_and_zero_eps_parse(self, tmp_path):
@@ -285,6 +288,22 @@ class TestExitCodes:
     def test_unconverged_sweep_is_exit_2(self, tmp_path):
         path, _ = disk_config(tmp_path, solver={"tol": 1e-14, "max_iter": 3})
         assert cli.main(["sweep", "--config", str(path)]) == 2
+
+    def test_sweep_past_convergence_is_exit_2(self, tmp_path, capsys):
+        # p = 1e300 is finite and accepted; its solve cannot certify, and
+        # that is a row with converged 0, not a crash or a RuntimeWarning
+        path, _ = disk_config(
+            tmp_path,
+            grid={"nx": 49, "ny": 49, "h": 0.04375, "origin": [-1.05, -1.05]},
+            weight={"kind": "regions", "background": -1.0, "regions": [
+                {"shape": "disk", "center": [0.0, 0.0], "radius": 0.25,
+                 "value": 1.0}]},
+            p_list=[64, 1e300], solver={})
+        assert cli.main(["sweep", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "out_sweep.csv").read_text().strip().split("\n")
+        assert [(float(r.split(",")[0]), r.split(",")[-1])
+                for r in rows[1:]] == [(64.0, "1"), (1e300, "0")]
 
     def test_grid_mismatch_is_exit_1(self, tmp_path):
         path, raw = disk_config(tmp_path)

@@ -562,7 +562,8 @@ class TestSolver:
     def test_p_out_of_range(self):
         grid, mask, dist = disk_setup(1 / 16)
         w = uniform_weight(grid, mask)
-        for bad in (1.5, 65.0):
+        # nan passes a lone p < 2 test; inf leaves no finite log
+        for bad in (1.5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 solve_lambda1(w, bad, dist=dist)
 

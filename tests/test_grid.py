@@ -42,6 +42,13 @@ def test_disk_radius_must_be_nonnegative():
     Disk((0.0, 0.0), 0.0)  # legal; rasterizes to an empty domain, above
 
 
+def test_polygon_needs_three_vertices():
+    for verts in ((), ((0.0, 0.0), (0.5, 0.5))):
+        with pytest.raises(ValueError):
+            Polygon(verts, "difference")
+    Polygon(((0.0, 0.0), (0.5, 0.5), (0.0, 0.5)))
+
+
 def test_rasterize_difference():
     g = Grid(65, 65, 1 / 64, (0.0, 0.0))
     mask = rasterize([Rect((0.0, 0.0), (1.0, 1.0)),

@@ -13,14 +13,18 @@ the lagged-diffusivity (Kacanov) stiffness A(u): a Jacobi step 0.9 D with
 D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
 the iteration count, a Galerkin coarse solve of its residual on a grid 8
 times coarser, so the count grows ~1.3x, not ~2.4x, per doubling of the
-grid, and a second Jacobi step. A solve is
+grid, and a second Jacobi step; the solver rebuilds the coarse factor every
+15 accepted iterations, and only on the whole box (below). A solve is
 converged only when its relative KKT residual is below the tolerance,
 and the returned field has unit weighted p-mass. All p-th roots and
 normalizations go through log space, so they stay finite at every finite
 p, and every power of a nonnegative array goes through ``_power``, which
 flushes results below the smallest normal double to exactly 0: at large
 p most bases are zero or underflow, numpy's pow is slow on both, and a
-flushed term is below the last bit of any sum.
+flushed term is below the last bit of any sum. The weight m and the
+zero-order C enter every p-sum scaled to unit max, with the logs of the
+scales added back, so the roots are covariant under m -> c m at every c in
+the double range: lambda(c m) = lambda(m) / c.
 
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
@@ -63,7 +67,7 @@ from .weight import WeightField, negate
 
 _MEMORY = 10    # L-BFGS curvature pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant of the line search
-_CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV * y.y
+_CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV |s| |y|
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
                 # in D A for a Jacobi-scaled spectrum on [1/2, 2]
@@ -136,17 +140,19 @@ def _power(a: np.ndarray, e: float) -> np.ndarray:
 
 def _log_power_sum(a: np.ndarray, coef, p: float, h: float):
     """(value, log) of h^2 * sum(coef * a^p) for a >= 0 (coef None means 1),
-    by max rescaling so the log stays finite when the value overflows; log is
-    None when the sum is zero or negative. The value is +-inf once the log
-    of its magnitude reaches 700, whatever its sign."""
+    by max rescaling of a and of |coef|, so the log stays finite when the
+    value over- or underflows, whatever the scale of either; log is None
+    when the sum is zero or negative. The value is +-inf once the log of its
+    magnitude reaches 700, whatever its sign."""
     M = a.max()
-    if M == 0.0:
+    K = 1.0 if coef is None else np.abs(coef).max()
+    if M == 0.0 or K == 0.0:
         return 0.0, None
     r = _power(a / M, p)
-    s = float(np.sum(r if coef is None else coef * r))
+    s = float(np.sum(r if coef is None else (coef / K) * r))
     if s == 0.0:
         return 0.0, None
-    log = 2 * math.log(h) + p * math.log(M) + math.log(abs(s))
+    log = 2 * math.log(h) + p * math.log(M) + math.log(abs(s)) + math.log(K)
     value = math.exp(log) if log < 700 else math.inf
     return (value, log) if s > 0.0 else (-value, None)
 
@@ -278,13 +284,13 @@ def _hat_pairs(hats: np.ndarray):
     return pairs, a * b, a[1:] * b[:-1] + a[:-1] * b[1:]
 
 
-def _window(inside: np.ndarray, support: np.ndarray, box=None):
+def _window(inside: np.ndarray, support: np.ndarray, whole, total, box=None):
     """Half-open index box (r0, r1, c0, c1) of a solve's window: the box of
     the nonempty grid mask ``support`` widened by _MARGIN nodes, united
-    with ``box`` and clipped to the whole box, ``index_box(inside)``, which
-    it is unless more than a share _FRINGE of the inside nodes lies outside
-    it, so that no coarse factor can exist (``_Stiffness``)."""
-    whole = index_box(inside)
+    with ``box`` and clipped to ``whole``, the ``index_box`` of the
+    ``total`` inside nodes, which it is unless more than a share _FRINGE
+    of them lies outside it: a window holding all but at most that share
+    saves little work, and only the whole box gets a coarse factor."""
     r0, r1, c0, c1 = index_box(support)
     r0, r1, c0, c1 = r0 - _MARGIN, r1 + _MARGIN, c0 - _MARGIN, c1 + _MARGIN
     if box is not None:
@@ -292,7 +298,6 @@ def _window(inside: np.ndarray, support: np.ndarray, box=None):
         c0, c1 = min(c0, box[2]), max(c1, box[3])
     r0, r1 = max(r0, whole[0]), min(r1, whole[1])
     c0, c1 = max(c0, whole[2]), min(c1, whole[3])
-    total = np.count_nonzero(inside)
     outside = total - np.count_nonzero(inside[r0:r1, c0:c1])
     return (r0, r1, c0, c1) if outside / total > _FRINGE else whole
 
@@ -326,20 +331,17 @@ class _Stiffness:
     coarse nodes: those whose hat covers inside nodes, at most a share
     _FRINGE of its weight on floored ones, where A is nearly flat and the
     coarse solve of a far-reaching hat amplifies the correction by up to
-    1 / _EPS_D. Ac is assembled in three matrix products (``_coarsen``)
-    every ``_REFRESH`` calls to ``update`` and kept as W = L^-1 of its
-    Cholesky factor L, so Ac^-1 = W^T W; W's columns run over every coarse
-    node of the box, zero off the active ones. No factor is built while
-    more than a share _FRINGE of the domain's inside nodes is floored
-    (92-99 % on the boundary strip, whose one or two active hats cost the
-    cycle iterations), with no active node, or when the factorization
-    fails. The share counts the ``excluded`` domain nodes beyond the
-    window as floored, since the field and pg are 0 there and so is their
-    diag A. A window short of the whole box leaves out more than that share
-    (``_window``), so it never has a factor, as the whole-box solve has
-    none at that iterate; on the whole box ``excluded`` is 0.
-    ``h0_quad`` is the additive two-level form y . (D - _CHEB D A D) y +
-    |W P^T y|^2, which scales H0 in the two-loop recursion.
+    1 / _EPS_D. Each ``update`` assembles Ac in three matrix products
+    (``_coarsen``) and keeps it as W = L^-1 of its Cholesky factor L, so
+    Ac^-1 = W^T W; W's columns run over every coarse node of the box, zero
+    off the active ones; ``lag`` moves A and D and keeps W. The solver
+    calls ``update`` every ``_REFRESH`` accepted iterations, and only on
+    the whole box. No factor is built while more than a share _FRINGE of
+    the nodes is floored (92-99 % on the boundary strip, whose one or two
+    active hats cost the cycle iterations), with no active node, or when
+    the factorization fails. ``h0_quad`` is the additive two-level form
+    y . (D - _CHEB D A D) y + |W P^T y|^2, which scales H0 in the two-loop
+    recursion.
 
     Every cell array lives on the ``index_box`` of the nodes, collar row
     and column included, in row-major order: with bx x by box nodes there are
@@ -352,8 +354,7 @@ class _Stiffness:
     they scatter only to outside nodes, which the gather drops. The box
     and scatter buffers are reused."""
 
-    def __init__(self, inside: np.ndarray, excluded: int = 0):
-        self.excluded = excluded  # domain nodes beyond ``inside``, diag A = 0
+    def __init__(self, inside: np.ndarray):
         r0, r1, c0, c1 = index_box(inside)
         # a contiguous copy, so that its ravel() in the gather is a view
         self.box_inside = inside[r0 - 1:r1 + 1, c0 - 1:c1 + 1].copy()
@@ -362,7 +363,6 @@ class _Stiffness:
         self.box = np.zeros((bx, by))  # zero outside the inside nodes
         self.cells = np.zeros(bx * by)  # scatter buffer
         self.pg = self.D = self.W = None
-        self.updates = 0
         # edges with both ends inside, by their base node
         self.x_edges = self.box_inside[:-1] & self.box_inside[1:]
         self.y_edges = self.box_inside[:-1, :-1] & self.box_inside[:-1, 1:]
@@ -378,10 +378,9 @@ class _Stiffness:
                         for e in (0, 1)]
 
     def update(self, pg: np.ndarray) -> None:
+        """``lag`` to pg, then rebuild the coarse factor."""
         diag, floored = self.lag(pg)
-        if self.updates % _REFRESH == 0:
-            self._coarsen(floored, floored > diag)
-        self.updates += 1
+        self._coarsen(floored, floored > diag)
 
     def lag(self, pg: np.ndarray):
         """Move A to the cell diffusivity pg and D to its floored diagonal;
@@ -406,8 +405,7 @@ class _Stiffness:
         edges, all on the box. The old W goes first, so at most two coarse
         matrices are alive at once."""
         self.W = None
-        if ((np.count_nonzero(lifted) + self.excluded)
-                / (lifted.size + self.excluded) > _FRINGE):
+        if np.count_nonzero(lifted) / lifted.size > _FRINGE:
             return
         active = np.flatnonzero((self.weight > 0.0) & (
             self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
@@ -571,9 +569,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     of ``_Stiffness`` on A = A(u), the cell stiffness at the current
     iterate weighted by the lagged diffusivity |grad u|^(p-2): a Jacobi
     step, a Galerkin coarse solve from a grid ``_COARSE`` times coarser,
-    rebuilt every ``_REFRESH`` iterations, and a second Jacobi step. The
-    direction is reset to -D df, D = 1 / diag A floored at ``_EPS_D`` of
-    its max, when it is not a descent direction.
+    its factor built every ``_REFRESH`` accepted iterations and only while
+    the window is the whole box, and a second Jacobi step. The direction
+    is reset to -D df, D = 1 / diag A floored at ``_EPS_D`` of its max,
+    when it is not a descent direction.
     The line search backtracks on the projected arc max(u + tau d, 0) and
     accepts only a strict Armijo decrease with positive weighted mass, so
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
@@ -590,7 +589,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     cone is used; a ``u0`` or ``C`` on another grid than ``w``'s is a
     ValueError, as is a p below 2 or not finite. The field is normalized to
     unit weighted p-mass, and ``lambda_root`` is exp(log lambda / p),
-    finite where lambda overflows.
+    finite where lambda overflows. m and C enter scaled to unit max over
+    the inside nodes, with the logs of the scales in log G and log E, so
+    lambda(c m) = lambda(m) / c at every c in the double range.
 
     The window is an index box; the whole box, ``index_box`` of the inside
     nodes, is the window over all of them and the one used at p = 2, where
@@ -600,9 +601,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     accepted step that leaves the iterate nonzero on its two outer rows or
     columns of a side strictly inside the whole box. The iterate, gradient
     and memory pairs are padded with zeros, which leaves their Gram matrix
-    as it is, and the stiffness is rebuilt with its update count kept. Once
-    at most a share ``_FRINGE`` of the inside nodes would lie outside, the
-    window is the whole box. Outside it the iterate, df, the memory pairs
+    as it is, and the stiffness is rebuilt at the iterate. Once at most a
+    share ``_FRINGE`` of the inside nodes would lie outside, the window is
+    the whole box. Outside it the iterate, df, the memory pairs
     and pg stay exactly 0 (module docstring), so the field is the whole-box
     solve's up to the order of floating-point sums; on a solve as chaotic
     as the strip's, that order moves the iteration count and the 7th digit.
@@ -621,6 +622,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     whole = index_box(inside)  # the window over every inside node
     h = grid.h
     log_h = math.log(h)
+    # the scales of m and C, so that no sum over- or underflows with them
+    m_max = np.abs(w.m).max() or 1.0  # w.m is 0 outside
+    c_max = 1.0 if C is None else np.abs(C.u[inside]).max()
+    log_m, log_C = math.log(m_max), math.log(c_max)
     # the window's box, its inside nodes, the positions among them of those
     # on the two outer rows or columns of a side it can grow across, and
     # the arrays on its nodes; set by ``enter``
@@ -638,10 +643,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         inner[r0 + 2 * (r0 > whole[0]):r1 - 2 * (r1 < whole[1]),
               c0 + 2 * (c0 > whole[2]):c1 - 2 * (c1 < whole[3])] = True
         rim = np.flatnonzero(~inner[nodes])
-        m = w.m[nodes]
-        c_in = None if C is None else C.u[nodes]
+        m = w.m[nodes] / m_max
+        c_in = None if C is None else C.u[nodes] / c_max
         stiff = None
-        stiff = _Stiffness(nodes, total - m.size)
+        stiff = _Stiffness(nodes)
 
     def diffusivity(x):
         """(ux, uy, gn, gmax, pg) at x: the box cell differences (not
@@ -670,11 +675,11 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         ux, uy, gn, gmax, pg = diffusivity(x)
         log_M = math.log(M)
         log_g2max = math.log(gmax) - 2 * log_h  # log max |grad u|^2
-        logG = 2 * log_h + p * log_M + math.log(sm)
+        logG = 2 * log_h + p * log_M + math.log(sm) + log_m
         logE = 2 * log_h + p / 2 * log_g2max + math.log(float(np.vdot(pg, gn)))
         if C is not None:
-            logE = float(np.logaddexp(
-                logE, 2 * log_h + p * log_M + math.log(float(c_in @ r))))
+            logE = float(np.logaddexp(logE, 2 * log_h + p * log_M
+                                      + math.log(float(c_in @ r)) + log_C))
         return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
 
     def gradient(x, loglam, logG, cache):
@@ -688,14 +693,18 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         log_c = -logG / p
         log_p = math.log(p)
         log_kg = log_p + log_c + (p / 2 - 1) * (2 * log_c + log_g2max)
-        log_km = 2 * log_h + log_p - (p - 1) / p * (2 * log_h + math.log(sm))
+        log_km = 2 * log_h + log_p - (p - 1) / p * (
+            2 * log_h + math.log(sm) + log_m)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # everything below is divided by kg, which the KKT ratio ignores
-            stiff.update(pg)
+            if box == whole and it % _REFRESH == 0:
+                stiff.update(pg)
+            else:
+                stiff.lag(pg)
             gE = stiff.matvec(ux, uy)
             if C is not None:
-                gE += (np.exp(log_km - log_kg) * c_in) * tp1
-            r = gE - (np.exp(log_km - log_kg + loglam) * m) * tp1
+                gE += (np.exp(log_km - log_kg + log_C) * c_in) * tp1
+            r = gE - (np.exp(log_km - log_kg + loglam + log_m) * m) * tp1
             kkt = np.abs(r).max()
             r *= np.exp(log_kg + log_c - loglam)
             return r, float(kkt / np.abs(gE).max())
@@ -716,26 +725,27 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     def start(u):
         """(x, evaluation) at the grid field u >= 0, zero outside, on the
         window of its support (the whole box at p = 2 or for u = 0)."""
-        enter(_window(inside, u > 0) if p > 2 and u.any() else whole)
+        enter(_window(inside, u > 0, whole, total)
+              if p > 2 and u.any() else whole)
         x = u[nodes]
         return x, evaluate(x)
 
     def grow(x, g):
         """(x, g) on the window grown over x's support, with the memory
-        pairs moved and the stiffness rebuilt at x, its update count kept;
-        every new node is 0 in all of them."""
-        old, updates = nodes, stiff.updates
+        pairs moved and the stiffness rebuilt at x, with no coarse factor
+        until the next refresh; every new node is 0 in all of them."""
+        old = nodes
         u = np.zeros(inside.shape)
         u[nodes] = x
-        enter(_window(inside, u > 0, box))
+        enter(_window(inside, u > 0, whole, total, box))
         pos = np.flatnonzero(old[nodes])
         memory.embed(pos, m.size)
         moved = np.zeros((2, m.size))
         moved[:, pos] = x, g
-        stiff.updates = updates
         stiff.lag(diffusivity(moved[0])[4])
         return moved
 
+    it = 0  # accepted iterations
     ev = None
     if u0 is not None:
         x, ev = start(np.where(inside, np.abs(u0.u), 0.0))
@@ -745,7 +755,6 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     g, kkt = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
     memory = _Memory(x.size)
-    it = 0
     tau = 0.0
     while True:
         if not (math.isfinite(kkt) and np.isfinite(g).all()):
@@ -779,7 +788,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         gt, kkt = gradient(xt, loglam, logG, cache)
         del step, cache
         s, y = xt - x, gt - g
-        if s @ y > _CURV * (y @ y):
+        if s @ y > _CURV * math.sqrt(s @ s) * math.sqrt(y @ y):
             memory.push(s, y)
         x, g = xt, gt
         if x[rim].any():

@@ -13,9 +13,9 @@ from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
                     WeightField, cone_field, dirichlet_energy_p, edt, eigen,
                     mu1, negate, rasterize, regions_weight, solve_lambda1,
                     sweep, two_cone_upper_bound, weighted_mass_p)
-from infeig.eigen import (_COARSE, _FRINGE, _MARGIN, _MEMORY, _Memory,
-                          _Stiffness, _invert_lower, _power, _underflow_cut,
-                          _window,
+from infeig.eigen import (_COARSE, _FRINGE, _MARGIN, _MEMORY, _REFRESH,
+                          _Memory, _Stiffness, _invert_lower, _power,
+                          _underflow_cut, _window,
                           cone_rayleigh_root, dirichlet_energy_grad,
                           rayleigh_root, seed_cone, weighted_mass_grad)
 from infeig.errors import NoNegativeRegionError
@@ -805,21 +805,6 @@ class TestLbfgsMemory:
         used = check_h0(np.random.default_rng(7), inside, 2.0)
         assert used == dense_prolongation(inside).shape[1]
 
-    def test_excluded_nodes_count_as_floored(self):
-        # two decades of pg floor no node, so the disk's nodes alone get a
-        # factor; as a window's nodes, the excluded domain nodes beyond them
-        # count as floored, and past a share _FRINGE there is no factor
-        rng = np.random.default_rng(7)
-        inside = disk_inside()
-        _, pg = random_stiffness(rng, 2.0, inside)
-        cells = to_box(pg, inside, rng.random(cell_count(inside)))
-        n = int(inside.sum())
-        for excluded, factored in ((0, True), (n // 9, True),
-                                   (n // 9 + 1, False)):
-            stiff = _Stiffness(inside, excluded)
-            stiff.update(cells)
-            assert (stiff.W is not None) == factored
-
     def test_h0_flushed_region_matches_dense(self):
         # pg exactly 0 on the cells left of the centre line, as large p
         # flushes it: half the nodes are floored, more than a share
@@ -970,15 +955,16 @@ def windows(monkeypatch):
     masks the solver builds its stiffness on."""
     calls, counts, masks = [], [], []
 
-    def record_window(inside, support, box=None):
-        calls.append((box is not None, _window(inside, support, box)))
+    def record_window(inside, support, whole, total, box=None):
+        calls.append((box is not None,
+                      _window(inside, support, whole, total, box)))
         return calls[-1][1]
 
     class Recording(_Stiffness):
-        def __init__(self, inside, excluded=0):
+        def __init__(self, inside):
             counts.append(int(np.count_nonzero(inside)))
             masks.append(inside.copy())
-            super().__init__(inside, excluded)
+            super().__init__(inside)
 
     monkeypatch.setattr(eigen, "_window", record_window)
     monkeypatch.setattr(eigen, "_Stiffness", Recording)
@@ -1001,20 +987,21 @@ class TestWindow:
         total = inside.sum()
         support = np.zeros_like(inside)
         support[30, 40] = True
-        box = _window(inside, support)
+        box = _window(inside, support, whole, total)
         assert box == (30 - _MARGIN, 31 + _MARGIN, 40 - _MARGIN, 41 + _MARGIN)
-        assert _window(inside, support, (10, 20, 5, 60)) == (10, 35, 5, 60)
+        assert _window(inside, support, whole, total,
+                       (10, 20, 5, 60)) == (10, 35, 5, 60)
         rows = np.flatnonzero(inside.any(axis=1))
         support[rows[0] + 1] = True
-        assert _window(inside, support)[:2] == (rows[0], 35)
+        assert _window(inside, support, whole, total)[:2] == (rows[0], 35)
         for half in range(1, 32):
             support[:] = False
             support[32 - half:32 + half, 32 - half:32 + half] = True
-            box = _window(inside, support)
+            box = _window(inside, support, whole, total)
             lo, hi = 32 - half - _MARGIN, 32 + half + _MARGIN
             outside = total - inside[max(lo, 0):hi, max(lo, 0):hi].sum()
             assert (box == whole) == (outside / total <= _FRINGE)
-        assert _window(inside, inside) == whole
+        assert _window(inside, inside, whole, total) == whole
 
     def test_ex1_sweep_matches_whole_box(self, monkeypatch, windows):
         # ex1 at 96 x 96 (at 48 x 48 its seed cone's window would already
@@ -1080,6 +1067,39 @@ class TestWindow:
         assert counts == [inside.sum()]
         assert index_box(masks[0]) == index_box(inside)
         assert np.array_equal(masks[0], inside)
+
+    def test_coarse_factor_only_on_the_whole_box_every_refresh(
+            self, monkeypatch):
+        # the solver alone schedules the coarse factor: ``_coarsen`` runs
+        # only on the whole box, every _REFRESH accepted iterations. ex1
+        # starts on windows and reaches the whole box; the strip's windows
+        # never do, so its solves assemble no coarse matrix
+        calls, steps = [], [0]
+        coarsen = _Stiffness._coarsen
+
+        def recording(stiff, floored, lifted):
+            calls.append((floored.size, steps[0]))
+            coarsen(stiff, floored, lifted)
+
+        def count(_):
+            steps[0] += 1
+
+        monkeypatch.setattr(_Stiffness, "_coarsen", recording)
+        grid, mask, dist = benchmark_grid(96)
+        w = example1_weight(grid, mask)
+        prev = None
+        for p in (4.0, 8.0, 16.0, 32.0):
+            steps[0] = 0
+            prev = solve_lambda1(w, p, dist=dist, u0=prev,
+                                 callback=count).field
+        total = mask.inside.sum()
+        assert calls and all(n == total and it % _REFRESH == 0
+                             for n, it in calls)
+        calls.clear()
+        prev = None
+        for p in (16.0, 64.0):
+            prev = strip_solve(p, u0=prev, callback=count).field
+        assert not calls
 
     def test_window_holding_most_nodes_runs_on_the_whole_box(self, windows):
         # ex1's 48 x 48 seed cone: its widened box leaves out at most a
@@ -1166,6 +1186,30 @@ class TestSweep:
             assert np.isfinite(res.field.u).all()
             assert rayleigh_root(res.field, w, res.p) == pytest.approx(
                 res.lambda_root, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("c", [1e-300, 1e-250, 1e-100, 1e100, 1e250,
+                                   1e300, 1e308])
+    def test_roots_covariant_under_weight_scale(self, c):
+        # lambda(c m) = lambda(m) / c, so each root is the c = 1 root times
+        # c^(-1/p), at both ends of the double range: the solver and the
+        # seed cone's mass sum run on m / max|m|. A warm start has unit
+        # mass, so its values scale as c^(-1/p), and the scale-free
+        # curvature test keeps the pairs of such tiny or huge iterates
+        grid = Grid(21, 21, 0.1, (-1.0, -1.0))
+        mask = rasterize([Disk((0.0, 0.0), 0.9)], grid)
+        dist = edt(mask)
+
+        def solve(c):
+            w = regions_weight(-c, [(Disk((0.0, 0.0), 0.4), c)], grid, mask)
+            results = sweep(w, [4, 64], dist=dist)[1]
+            assert [r.stop for r in results] == ["tol", "tol"]
+            return ([r.lambda_root * c ** (1 / r.p) for r in results],
+                    sum(r.iterations for r in results))
+
+        (roots, iterations), (ref, ref_iterations) = solve(c), solve(1.0)
+        assert roots == pytest.approx(ref, rel=1e-6)
+        assert iterations <= 2 * ref_iterations
 
     def test_zero_order_target(self):
         grid, mask, dist = disk_setup(1 / 32, radius=0.5)

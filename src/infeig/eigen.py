@@ -14,7 +14,13 @@ D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
 the iteration count, a Galerkin coarse solve of its residual on a grid 8
 times coarser, so the count grows ~1.3x, not ~2.4x, per doubling of the
 grid, and a second Jacobi step; the solver rebuilds the coarse factor every
-15 accepted iterations, and only on the whole box (below). A solve is
+15 accepted iterations, and only on the whole box (below). Exactly while a
+factor exists the L-BFGS direction (the cycle, gamma's quadratic form and
+the memory rows) runs in float32, on rows and a gradient scaled by powers
+of two, so that no weight scale over- or underflows them. The iterate, the
+sums, the gradient, the line search and the KKT residual stay float64, and
+L-BFGS admits any positive definite H0, so a rounded direction can cost
+iterations but never certifies a wrong point. A solve is
 converged only when its relative KKT residual is below the tolerance,
 and the returned field has unit weighted p-mass. All p-th roots and
 normalizations go through log space, so they stay finite at every finite
@@ -57,6 +63,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -343,6 +350,16 @@ class _Stiffness:
     y . (D - _CHEB D A D) y + |W P^T y|^2, which scales H0 in the two-loop
     recursion.
 
+    The cycle and ``h0_quad`` with a factor run in float32 on float32
+    input: Ac is assembled in float64, then factored and inverted in
+    float32, and there is no float64 W; ``lag`` keeps float32 copies of
+    pg, D and M = _OMEGA D (``_narrow``) while a factor exists, and the
+    cycle's differences, products and restriction take ``single`` and
+    then use ``f32``: float32 operands under the float64 ones' names (box
+    and scatter buffers, hats, pg and D), made with the first factor. The
+    one-level step, ``matvec`` for the gradient and D for the solver's
+    restart are float64.
+
     Every cell array lives on the ``index_box`` of the nodes, collar row
     and column included, in row-major order: with bx x by box nodes there are
     L = (bx - 1) by cells, cell k based at box node k with its +x corner
@@ -363,6 +380,7 @@ class _Stiffness:
         self.box = np.zeros((bx, by))  # zero outside the inside nodes
         self.cells = np.zeros(bx * by)  # scatter buffer
         self.pg = self.D = self.W = None
+        self.f32 = None  # the cycle's float32 operands, from the first factor
         # edges with both ends inside, by their base node
         self.x_edges = self.box_inside[:-1] & self.box_inside[1:]
         self.y_edges = self.box_inside[:-1, :-1] & self.box_inside[:-1, 1:]
@@ -378,19 +396,33 @@ class _Stiffness:
                         for e in (0, 1)]
 
     def update(self, pg: np.ndarray) -> None:
-        """``lag`` to pg, then rebuild the coarse factor."""
+        """``lag`` to pg, then rebuild the coarse factor. The old factor
+        goes first, so at most two coarse matrices are alive at once."""
+        self.W = None
         diag, floored = self.lag(pg)
         self._coarsen(floored, floored > diag)
+        if self.W is not None:
+            self._narrow()
 
     def lag(self, pg: np.ndarray):
-        """Move A to the cell diffusivity pg and D to its floored diagonal;
-        returns the diagonal and the floored diagonal."""
+        """Move A to the cell diffusivity pg and D to its floored diagonal,
+        with their float32 copies while a factor exists; returns the
+        diagonal and the floored diagonal."""
         self.pg = pg
         # 2 pg of the node's own cell plus pg of its -x and -y cells
         diag = self._spread(2.0 * pg, pg, pg)
         floored = np.maximum(diag, _EPS_D * diag.max())
         self.D = 1.0 / floored
+        if self.W is not None:
+            self._narrow()
         return diag, floored
+
+    def _narrow(self) -> None:
+        """The cycle's float32 pg, D and M = _OMEGA D."""
+        f32 = self.f32
+        f32.pg = self.pg.astype(np.float32)
+        f32.D = self.D.astype(np.float32)
+        f32.M = (_OMEGA * self.D).astype(np.float32)
 
     def _coarsen(self, floored: np.ndarray, lifted: np.ndarray) -> None:
         """Build W from Ac on the active coarse nodes, those whose hat
@@ -402,9 +434,8 @@ class _Stiffness:
         py), the entry of P^T Abar P between hats (I, J) and (I', J') is
         Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy - Dx^T Ex Qy - Qx^T Ey Dy,
         where F is the floored diagonal and Ex, Ey are pg on the x and y
-        edges, all on the box. The old W goes first, so at most two coarse
-        matrices are alive at once."""
-        self.W = None
+        edges, all on the box. Ac is assembled in float64, then factored and
+        inverted in float32, the precision of the cycle, its only reader."""
         if np.count_nonzero(lifted) / lifted.size > _FRINGE:
             return
         active = np.flatnonzero((self.weight > 0.0) & (
@@ -416,7 +447,7 @@ class _Stiffness:
         number[active] = np.arange(active.size)
         rows, cols = (number[e] for e in self.entries)
         sub = (rows >= 0) & (cols >= 0)
-        Ac = np.zeros((active.size, active.size))
+        Ac = np.zeros((active.size, active.size), np.float32)
         Ac[rows[sub], cols[sub]] = Ax[sub]
         try:
             L = np.linalg.cholesky(Ac)
@@ -424,8 +455,13 @@ class _Stiffness:
             return
         del Ac
         # W's columns run over every coarse node, zero off the active ones
-        self.W = np.zeros((active.size, self.weight.size))
+        self.W = np.zeros((active.size, self.weight.size), np.float32)
         self.W[:, active] = _invert_lower(L)
+        if self.f32 is None:  # box and scatter buffers and hats
+            self.f32 = SimpleNamespace(
+                box=np.zeros(self.box.shape, np.float32),
+                cells=np.zeros(self.cells.shape, np.float32),
+                px=self.px.astype(np.float32), py=self.py.astype(np.float32))
 
     def _galerkin(self, floored: np.ndarray) -> np.ndarray:
         """Ax of ``_coarsen``, in a call of its own so that its box-sized
@@ -437,55 +473,71 @@ class _Stiffness:
         return ((self.qx.T @ self.box - self.dx.T @ ex) @ self.qy
                 - (self.qx[:-1].T @ ey) @ self.dy)
 
-    def restrict(self, v: np.ndarray) -> np.ndarray:
-        """P^T v on every coarse node, row-major."""
-        self.box[self.box_inside] = v
-        return (self.px.T @ self.box @ self.py).ravel()
+    def restrict(self, v, single: bool = False) -> np.ndarray:
+        """P^T v on every coarse node, row-major, on ``f32`` if ``single``."""
+        ops = self.f32 if single else self
+        ops.box[self.box_inside] = v
+        return (ops.px.T @ ops.box @ ops.py).ravel()
 
-    def _spread(self, base, sx, sy) -> np.ndarray:
+    def _spread(self, base, sx, sy, single: bool = False) -> np.ndarray:
         """Inside values of the nodal sums of the cell terms: base at each
         cell's base corner, sx at its +x and sy at its +y corner."""
-        cells, L = self.cells, self.L
+        cells, L = (self.f32 if single else self).cells, self.L
         cells[:L] = base
         cells[L:] = 0.0
         cells[self.by:] += sx
         cells[1:L + 1] += sy
         return cells[self.box_inside.ravel()]
 
-    def matvec(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    def matvec(self, vx: np.ndarray, vy: np.ndarray,
+               single: bool = False) -> np.ndarray:
         """A v on the inside nodes from the cell differences vx, vy of v."""
-        sx, sy = self.pg * vx, self.pg * vy
-        return self._spread(-(sx + sy), sx, sy)
+        pg = (self.f32 if single else self).pg
+        sx, sy = pg * vx, pg * vy
+        return self._spread(-(sx + sy), sx, sy, single)
 
-    def differences(self, v: np.ndarray):
+    def differences(self, v: np.ndarray, single: bool = False):
         """Cell differences (dx v, dy v) of the inside values v."""
-        self.box[self.box_inside] = v
-        nodes, L = self.box.ravel(), self.L
+        box = (self.f32 if single else self).box
+        box[self.box_inside] = v
+        nodes, L = box.ravel(), self.L
         return nodes[self.by:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
     def h0(self, q: np.ndarray) -> np.ndarray:
-        """H0 q: the two-grid cycle with a coarse factor, else one step."""
+        """H0 q: the two-grid cycle in float32 with a coarse factor, else
+        one step in float64; q comes in that precision."""
         if self.W is None:
             v = self.D * q
             return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
-        M = _OMEGA * self.D
+        M = self.f32.M
         x = M * q
-        r = q - self.matvec(*self.differences(x))
-        z = ((self.W @ self.restrict(r)) @ self.W).reshape(self.px.shape[1], -1)
-        x += (self.px @ z @ self.py.T)[self.box_inside]
-        x += M * (q - self.matvec(*self.differences(x)))
+        r = q - self.matvec(*self.differences(x, single=True), single=True)
+        z = ((self.W @ self.restrict(r, single=True)) @ self.W).reshape(
+            self.px.shape[1], -1)
+        x += (self.f32.px @ z @ self.f32.py.T)[self.box_inside]
+        x += M * (q - self.matvec(*self.differences(x, single=True),
+                                  single=True))
         return x
 
     def h0_quad(self, y: np.ndarray) -> float:
         """y . (D - _CHEB D A D) y + |W P^T y|^2, no scatter: the additive
-        two-level form, whose ratio to s . y scales H0."""
-        v = self.D * y
-        vx, vy = self.differences(v)
-        quad = float(y @ v) - _CHEB * float(np.vdot(self.pg, vx * vx + vy * vy))
-        if self.W is not None:
-            wy = self.W @ self.restrict(y)
+        two-level form, whose ratio to s . y scales H0; in float32 with a
+        coarse factor, as ``h0``."""
+        single = self.W is not None
+        ops = self.f32 if single else self
+        v = ops.D * y
+        vx, vy = self.differences(v, single)
+        quad = float(y @ v) - _CHEB * float(np.vdot(ops.pg, vx * vx + vy * vy))
+        if single:
+            wy = self.W @ self.restrict(y, single)
             quad += float(wy @ wy)
         return quad
+
+
+def _pow2(v: float) -> float:
+    """The least power of two above v > 0 (1 for 0, inf or nan), capped at
+    2^1023: dividing by it is exact."""
+    return math.ldexp(1.0, min(math.frexp(v)[1], 1023))
 
 
 class _Memory:
@@ -493,13 +545,24 @@ class _Memory:
     their Gram matrix SY[i, j] = s_i . y_j, so that both loops of the
     two-loop recursion run on m x m scalars around one application of the
     initial Hessian. ``order`` lists the live slots oldest first; the
-    other rows hold zeros or old pairs and get zero coefficients."""
+    other rows hold zeros or old pairs and get zero coefficients.
+
+    The rows are in H0's precision: float64, or float32 while it runs the
+    two-grid cycle. In float32 they are in hat units, s_i / sigma_i and
+    y_i / tau_i with sigma_i and tau_i the least powers of two above the
+    bounds on |s_i| and |y_i| that ``push`` is given (``bounds``), so no
+    row over- or underflows whatever the weight's scale, and SY, kept in
+    float64 with every loop scalar, is the Gram matrix of the hat rows.
+    ``direction`` moves the live rows and SY to H0's precision whenever
+    the stiffness has gained or lost its factor."""
 
     def __init__(self, n: int):
         self.S = np.zeros((_MEMORY, n))
         self.Y = np.zeros((_MEMORY, n))
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
+        self.bounds = ([0.0] * _MEMORY, [0.0] * _MEMORY)  # of |s_i|, |y_i|
+        self.scales = None  # (sigma, tau) while the rows are float32
 
     def __len__(self) -> int:
         return len(self.order)
@@ -516,19 +579,68 @@ class _Memory:
             rows[:, pos] = getattr(self, name)
             setattr(self, name, rows)
 
-    def push(self, s: np.ndarray, y: np.ndarray) -> None:
-        """Store a pair of finite vectors, replacing the oldest when full."""
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float, s_max: float,
+             y_max: float) -> None:
+        """Store a pair of finite vectors with s . y = sy, |s| <= s_max and
+        |y| <= y_max, replacing the oldest when full. In float32 the Gram
+        diagonal is sy, as a float32 dot cannot resolve a small s . y."""
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
-        self.S[slot], self.Y[slot] = s, y
-        self.SY[slot, :] = self.Y @ s
-        self.SY[:, slot] = self.S @ y
+        self.bounds[0][slot], self.bounds[1][slot] = s_max, y_max
+        if self.scales is None:
+            self.S[slot], self.Y[slot] = s, y
+            self.SY[slot, :] = self.Y @ s
+            self.SY[:, slot] = self.S @ y
+        else:
+            sigma, tau = self.scales
+            sigma[slot], tau[slot] = _pow2(s_max), _pow2(y_max)
+            self.S[slot] = s * (1.0 / sigma[slot])
+            self.Y[slot] = y * (1.0 / tau[slot])
+            self.SY[slot, :] = self.Y @ self.S[slot]
+            self.SY[:, slot] = self.S @ self.Y[slot]
+            self.SY[slot, slot] = sy / (sigma[slot] * tau[slot])
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, stiff: _Stiffness) -> np.ndarray:
+    def _convert(self) -> None:
+        """Move the live rows between float64 and float32 hat units, one
+        row at a time, and SY with them; the dead rows become 0, and so do
+        their SY entries, with scale 1."""
+        live = self.order
+        if self.scales is None:
+            self.scales = ([1.0] * _MEMORY, [1.0] * _MEMORY)
+            for scale, bound in zip(self.scales, self.bounds):
+                for i in live:
+                    scale[i] = _pow2(bound[i])
+            factors = [[1.0 / v for v in scale] for scale in self.scales]
+            dtype = np.float32
+        else:
+            factors, dtype, self.scales = self.scales, np.float64, None
+        for name, f in zip(("S", "Y"), factors):
+            old = getattr(self, name)
+            rows = np.zeros(old.shape, dtype)
+            for i in live:  # scaled in float64, then stored
+                np.multiply(old[i], f[i], out=rows[i], dtype=np.float64)
+            setattr(self, name, rows)
+        block = np.ix_(live, live)
+        SY = np.zeros_like(self.SY)
+        SY[block] = self.SY[block] * np.outer(*factors)[block]
+        self.SY = SY
+
+    def direction(self, g: np.ndarray, g_max: float,
+                  stiff: _Stiffness) -> np.ndarray:
         """-H g by the two-loop recursion over the stored pairs with the
-        initial Hessian gamma H0 of ``stiff``. Pairs with s . y <= 0 are
-        skipped, and gamma = s . y / ``h0_quad(y)`` of the newest kept
-        pair."""
+        initial Hessian gamma H0 of ``stiff``, |g| <= g_max. Pairs with
+        s . y <= 0 are skipped, and gamma = s . y / ``h0_quad(y)`` of the
+        newest kept pair. In float32 it runs on g / alpha, alpha a power
+        of two above g_max: with pi_i = sigma_i / tau_i and n the newest
+        kept pair, the first loop is unchanged on the hat Gram matrix, the
+        second loop's a_i is a_i pi_i / pi_n, gamma is the hat rows' and
+        the direction is alpha pi_n times the hat one, in float64."""
+        if (stiff.W is None) != (self.scales is None):
+            self._convert()
+        dtype = self.S.dtype
+        if self.scales is not None:
+            alpha = _pow2(g_max)
+            g = (g * (1.0 / alpha)).astype(dtype)
         sg = (self.S @ g).tolist()
         sy, ys = self.SY.tolist(), self.SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
@@ -542,13 +654,22 @@ class _Memory:
         if hist:
             new = hist[-1]
             gamma = sy[new][new] / stiff.h0_quad(self.Y[new])
-        r = stiff.h0(g - np.array(a) @ self.Y)
+        r = stiff.h0(g - np.array(a, dtype) @ self.Y)
         r *= gamma
         yr = (self.Y @ r).tolist()
+        if self.scales is not None:
+            pi = [s / t for s, t in zip(*self.scales)]
+            pi_n = pi[hist[-1]] if hist else 1.0
+            a = [ai * pi_i / pi_n for ai, pi_i in zip(a, pi)]
         c = [0.0] * _MEMORY
         for i in hist:
             c[i] = a[i] - (yr[i] + sum(map(mul, c, ys[i]))) / sy[i][i]
-        return -(r + np.array(c) @ self.S)
+        d = r + np.array(c, dtype) @ self.S
+        if self.scales is None:
+            return -d
+        d = d.astype(np.float64)
+        d *= -alpha * pi_n
+        return d
 
 
 def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
@@ -573,6 +694,16 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     the window is the whole box, and a second Jacobi step. The direction
     is reset to -D df, D = 1 / diag A floored at ``_EPS_D`` of its max,
     when it is not a descent direction.
+    The direction runs in float32 exactly while the stiffness holds a
+    coarse factor, else in float64 (``_Memory``): only the whole box,
+    with at most a share _FRINGE of its nodes floored, has one, so every
+    window keeps float64, and so does ex1 at 96 x 96 from p = 256 on,
+    where more of its nodes are floored. Its scales are powers of two from
+    max x (``evaluate``) and max |df| = max |r| kg (``gradient``). The
+    iterate, the sums, df, the line search and the KKT residual stay
+    float64, so ``converged`` certifies what it did and the roots move
+    only within the tolerance, by at most 2e-11 relative on ex1 at 48 x 48
+    to 192 x 192.
     The line search backtracks on the projected arc max(u + tau d, 0) and
     accepts only a strict Armijo decrease with positive weighted mass, so
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
@@ -659,8 +790,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         return ux, uy, gn, gmax, _power(gn, p / 2 - 1)
 
     def evaluate(x):
-        """One pass at x >= 0: (log lambda, log G, cache), or None when the
-        weighted mass is not positive. With M = max x and t = x / M, the
+        """One pass at x >= 0: (log lambda, log G, M, cache), or None when
+        the weighted mass is not positive. With M = max x and t = x / M, the
         cache keeps t^(p-1) and the ``diffusivity`` arrays, from which the
         p-th powers of the sums are one product away."""
         M = x.max()
@@ -680,15 +811,15 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if C is not None:
             logE = float(np.logaddexp(logE, 2 * log_h + p * log_M
                                       + math.log(float(c_in @ r)) + log_C))
-        return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
+        return logE - logG, logG, M, (tp1, sm, ux, uy, pg, log_g2max)
 
     def gradient(x, loglam, logG, cache):
-        """(df, relative KKT residual) at the accepted trial x from its
-        cache, and ``stiff`` moved to x's pg. On the unit-mass rescaling
-        uh = c u, f's gradient is c (dE - lam dG) / lam; dE's cell part is
-        kg * A(x) x and the mass and C parts km * coef * t^(p-1), with kg
-        and km in logs. Only the shape of A matters to H0, since the L-BFGS
-        scaling gamma absorbs the constant."""
+        """(df, relative KKT residual, max |df|) at the accepted trial x
+        from its cache, and ``stiff`` moved to x's pg. On the unit-mass
+        rescaling uh = c u, f's gradient is c (dE - lam dG) / lam; dE's cell
+        part is kg * A(x) x and the mass and C parts km * coef * t^(p-1),
+        with kg and km in logs. Only the shape of A matters to H0, since the
+        L-BFGS scaling gamma absorbs the constant."""
         tp1, sm, ux, uy, pg, log_g2max = cache
         log_c = -logG / p
         log_p = math.log(p)
@@ -706,8 +837,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
                 gE += (np.exp(log_km - log_kg + log_C) * c_in) * tp1
             r = gE - (np.exp(log_km - log_kg + loglam + log_m) * m) * tp1
             kkt = np.abs(r).max()
-            r *= np.exp(log_kg + log_c - loglam)
-            return r, float(kkt / np.abs(gE).max())
+            k = np.exp(log_kg + log_c - loglam)
+            r *= k
+            return r, float(kkt / np.abs(gE).max()), float(kkt) * float(k)
 
     def line_search(x, g, d, loglam, tau):
         """(x, evaluation, tau) at the first of tau, tau/2, ... on the
@@ -751,8 +883,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         x, ev = start(np.where(inside, np.abs(u0.u), 0.0))
     if ev is None:
         x, ev = start(seed_cone(w, p, dist).u)
-    loglam, logG, cache = ev
-    g, kkt = gradient(x, loglam, logG, cache)
+    loglam, logG, x_max, cache = ev
+    g, kkt, g_max = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
     memory = _Memory(x.size)
     tau = 0.0
@@ -768,7 +900,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             break
         step = None
         if memory:
-            d = memory.direction(g, stiff)
+            d = memory.direction(g, g_max, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
@@ -777,20 +909,22 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             memory.clear()
             d = -stiff.D * g
             step = line_search(x, g, d, loglam,
-                               0.01 * x.max() / np.abs(d).max())
+                               0.01 * x_max / np.abs(d).max())
         if step is None:
             stop = "line_search"
             break
         it += 1
-        xt, (loglam, logG, cache), tau = step
+        xt, (loglam, logG, xt_max, cache), tau = step
         if callback is not None:
             callback(loglam)
-        gt, kkt = gradient(xt, loglam, logG, cache)
+        gt, kkt, gt_max = gradient(xt, loglam, logG, cache)
         del step, cache
         s, y = xt - x, gt - g
-        if s @ y > _CURV * math.sqrt(s @ s) * math.sqrt(y @ y):
-            memory.push(s, y)
-        x, g = xt, gt
+        sy = s @ y
+        if sy > _CURV * math.sqrt(s @ s) * math.sqrt(y @ y):
+            # x, xt >= 0, so |s| <= max(max x, max xt)
+            memory.push(s, y, float(sy), max(x_max, xt_max), g_max + gt_max)
+        x, g, x_max, g_max = xt, gt, xt_max, gt_max
         if x[rim].any():
             x, g = grow(x, g)
 

@@ -17,7 +17,9 @@ grid, and a second Jacobi step; the solver rebuilds the coarse factor every
 15 accepted iterations, and only on the whole box (below). Exactly while a
 factor exists the L-BFGS direction (the cycle, gamma's quadratic form and
 the memory rows) runs in float32, on rows and a gradient scaled by powers
-of two, so that no weight scale over- or underflows them. The iterate, the
+of two, so that no weight scale over- or underflows them; the memory is
+built in that precision and restarts empty in the other when a refresh
+gains or loses the factor, so no pair changes precision. The iterate, the
 sums, the gradient, the line search and the KKT residual stay float64, and
 L-BFGS admits any positive definite H0, so a rounded direction can cost
 iterations but never certifies a wrong point. A solve is
@@ -547,22 +549,24 @@ class _Memory:
     initial Hessian. ``order`` lists the live slots oldest first; the
     other rows hold zeros or old pairs and get zero coefficients.
 
-    The rows are in H0's precision: float64, or float32 while it runs the
-    two-grid cycle. In float32 they are in hat units, s_i / sigma_i and
-    y_i / tau_i with sigma_i and tau_i the least powers of two above the
-    bounds on |s_i| and |y_i| that ``push`` is given (``bounds``), so no
-    row over- or underflows whatever the weight's scale, and SY, kept in
-    float64 with every loop scalar, is the Gram matrix of the hat rows.
-    ``direction`` moves the live rows and SY to H0's precision whenever
-    the stiffness has gained or lost its factor."""
+    The rows are in H0's precision: float32 if ``single``, as while the
+    stiffness holds a coarse factor, else float64. In float32 they are in
+    hat units, s_i / sigma_i and y_i / tau_i with sigma_i and tau_i the
+    least powers of two above the bounds on |s_i| and |y_i| that ``push``
+    is given, so no row over- or underflows whatever the weight's scale,
+    and SY, kept in float64 with every loop scalar, is the Gram matrix of
+    the hat rows. The precision never changes under live pairs: when the
+    stiffness has gained or lost its factor, ``direction`` empties the
+    memory into H0's new precision first."""
 
-    def __init__(self, n: int):
-        self.S = np.zeros((_MEMORY, n))
-        self.Y = np.zeros((_MEMORY, n))
+    def __init__(self, n: int, single: bool):
+        dtype = np.float32 if single else np.float64
+        self.S = np.zeros((_MEMORY, n), dtype)
+        self.Y = np.zeros((_MEMORY, n), dtype)
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
-        self.bounds = ([0.0] * _MEMORY, [0.0] * _MEMORY)  # of |s_i|, |y_i|
-        self.scales = None  # (sigma, tau) while the rows are float32
+        # (sigma, tau) of the float32 rows
+        self.scales = ([1.0] * _MEMORY, [1.0] * _MEMORY) if single else None
 
     def __len__(self) -> int:
         return len(self.order)
@@ -585,45 +589,16 @@ class _Memory:
         |y| <= y_max, replacing the oldest when full. In float32 the Gram
         diagonal is sy, as a float32 dot cannot resolve a small s . y."""
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
-        self.bounds[0][slot], self.bounds[1][slot] = s_max, y_max
-        if self.scales is None:
-            self.S[slot], self.Y[slot] = s, y
-            self.SY[slot, :] = self.Y @ s
-            self.SY[:, slot] = self.S @ y
-        else:
+        if self.scales is not None:
             sigma, tau = self.scales
             sigma[slot], tau[slot] = _pow2(s_max), _pow2(y_max)
-            self.S[slot] = s * (1.0 / sigma[slot])
-            self.Y[slot] = y * (1.0 / tau[slot])
-            self.SY[slot, :] = self.Y @ self.S[slot]
-            self.SY[:, slot] = self.S @ self.Y[slot]
+            s, y = s * (1.0 / sigma[slot]), y * (1.0 / tau[slot])
+        self.S[slot], self.Y[slot] = s, y
+        self.SY[slot, :] = self.Y @ self.S[slot]
+        self.SY[:, slot] = self.S @ self.Y[slot]
+        if self.scales is not None:
             self.SY[slot, slot] = sy / (sigma[slot] * tau[slot])
         self.order.append(slot)
-
-    def _convert(self) -> None:
-        """Move the live rows between float64 and float32 hat units, one
-        row at a time, and SY with them; the dead rows become 0, and so do
-        their SY entries, with scale 1."""
-        live = self.order
-        if self.scales is None:
-            self.scales = ([1.0] * _MEMORY, [1.0] * _MEMORY)
-            for scale, bound in zip(self.scales, self.bounds):
-                for i in live:
-                    scale[i] = _pow2(bound[i])
-            factors = [[1.0 / v for v in scale] for scale in self.scales]
-            dtype = np.float32
-        else:
-            factors, dtype, self.scales = self.scales, np.float64, None
-        for name, f in zip(("S", "Y"), factors):
-            old = getattr(self, name)
-            rows = np.zeros(old.shape, dtype)
-            for i in live:  # scaled in float64, then stored
-                np.multiply(old[i], f[i], out=rows[i], dtype=np.float64)
-            setattr(self, name, rows)
-        block = np.ix_(live, live)
-        SY = np.zeros_like(self.SY)
-        SY[block] = self.SY[block] * np.outer(*factors)[block]
-        self.SY = SY
 
     def direction(self, g: np.ndarray, g_max: float,
                   stiff: _Stiffness) -> np.ndarray:
@@ -634,9 +609,12 @@ class _Memory:
         of two above g_max: with pi_i = sigma_i / tau_i and n the newest
         kept pair, the first loop is unchanged on the hat Gram matrix, the
         second loop's a_i is a_i pi_i / pi_n, gamma is the hat rows' and
-        the direction is alpha pi_n times the hat one, in float64."""
+        the direction is alpha pi_n times the hat one, in float64. When
+        the stiffness has gained or lost its factor since the last call,
+        the memory restarts empty in H0's new precision, and the direction
+        is -H0 g."""
         if (stiff.W is None) != (self.scales is None):
-            self._convert()
+            self.__init__(self.S.shape[1], stiff.W is not None)
         dtype = self.S.dtype
         if self.scales is not None:
             alpha = _pow2(g_max)
@@ -698,12 +676,15 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     coarse factor, else in float64 (``_Memory``): only the whole box,
     with at most a share _FRINGE of its nodes floored, has one, so every
     window keeps float64, and so does ex1 at 96 x 96 from p = 256 on,
-    where more of its nodes are floored. Its scales are powers of two from
-    max x (``evaluate``) and max |df| = max |r| kg (``gradient``). The
-    iterate, the sums, df, the line search and the KKT residual stay
-    float64, so ``converged`` certifies what it did and the roots move
-    only within the tolerance, by at most 2e-11 relative on ex1 at 48 x 48
-    to 192 x 192.
+    where more of its nodes are floored. The memory is built in the
+    precision of the stiffness after the first gradient; when a refresh
+    gains or loses the factor, the next direction empties it into the new
+    precision and is -H0 df, tried at step 1. The float32 scales are
+    powers of two from max x (``evaluate``) and max |df| = max |r| kg
+    (``gradient``). The iterate, the sums, df, the line search and the KKT
+    residual stay float64, so ``converged`` certifies what it did and the
+    roots move only within the tolerance, by at most 7e-10 relative on ex1
+    at 48 x 48 to 192 x 192 against a float64 direction.
     The line search backtracks on the projected arc max(u + tau d, 0) and
     accepts only a strict Armijo decrease with positive weighted mass, so
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases
@@ -886,7 +867,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     loglam, logG, x_max, cache = ev
     g, kkt, g_max = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
-    memory = _Memory(x.size)
+    memory = _Memory(x.size, stiff.W is not None)
     tau = 0.0
     while True:
         if not (math.isfinite(kkt) and np.isfinite(g).all()):

@@ -727,15 +727,25 @@ def push(mem, s, y):
 
 
 def check_gram_direction(rng, inside):
-    """_Memory.direction against the dense two-loop oracle, through a wrap
-    of the ring, a pair with s . y <= 0 and a single pair. The stiffness
-    has a coarse factor, so the direction runs in float32: the memory
-    moves its first three pairs there on the first call and stores the
-    others there, and the direction matches to float32 accuracy."""
-    stiff, pg = random_stiffness(rng, 3.0, inside)
+    """_Memory.direction against the dense two-loop oracle in both
+    precisions: with a coarse factor (float32, from the first pair) and on
+    a one-level stiffness (float64)."""
+    assert check_gram_pass(rng, inside, 3.0)
+    assert not check_gram_pass(rng, inside, 10.0)
+
+
+def check_gram_pass(rng, inside, decades):
+    """One pass of ``check_gram_direction`` through a wrap of the ring, a
+    pair with s . y <= 0 and a single pair, on a stiffness with pg over
+    ``decades``; returns whether it has a coarse factor. The memory is
+    built in the stiffness's precision and stores every pair there, and
+    the direction matches to 1e-5 in float32, 1e-10 in float64."""
+    stiff, pg = random_stiffness(rng, decades, inside)
     H0, D, P, G = dense_h0(pg, inside)
     assert np.allclose(stiff.D, D, rtol=1e-14, atol=0.0)
-    assert P.shape[1] > 0
+    single = stiff.W is not None
+    assert (P.shape[1] > 0) == single
+    dtype, tol = (np.float32, 1e-5) if single else (np.float64, 1e-10)
     n = D.size
     pairs = []
     for k in range(_MEMORY + 3):  # wraps the ring
@@ -744,17 +754,18 @@ def check_gram_direction(rng, inside):
         if k == 7:
             y = -s  # s . y < 0: skipped, though still in the ring
         pairs.append((s, y))
-    mem = _Memory(n)
+    mem = _Memory(n, single)
 
     def check(g, pairs):
         d = mem.direction(g, np.abs(g).max(), stiff)
-        assert mem.S.dtype == mem.Y.dtype == np.float32
+        assert mem.S.dtype == mem.Y.dtype == dtype
         assert d.dtype == np.float64
         ref = two_loop_reference(g, pairs, H0, G)
-        assert np.abs(d - ref).max() <= 1e-5 * np.abs(ref).max()
+        assert np.abs(d - ref).max() <= tol * np.abs(ref).max()
 
     for s, y in pairs[:3]:
         push(mem, s, y)
+    assert mem.S.dtype == mem.Y.dtype == dtype
     check(rng.standard_normal(n), pairs[:3])
     for s, y in pairs[3:]:
         push(mem, s, y)
@@ -764,6 +775,7 @@ def check_gram_direction(rng, inside):
     mem.clear()
     push(mem, *pairs[0])
     check(rng.standard_normal(n), pairs[:1])
+    return single
 
 
 def check_h0(rng, inside, decades, flushed=None):
@@ -917,29 +929,36 @@ class TestLbfgsMemory:
 @pytest.fixture
 def regimes(monkeypatch):
     """The solver's precision events in order: ("refresh", whether it built
-    a coarse factor) and ("direction", the dtype of the memory rows after
-    the ``_Memory.direction`` call)."""
+    a coarse factor), ("memory", the dtype of the rows of a memory built or
+    emptied) and ("direction", the dtype of the memory rows and the number
+    of live pairs after the ``_Memory.direction`` call)."""
     events = []
-    update, direction = _Stiffness.update, _Memory.direction
+    update, build, direction = (_Stiffness.update, _Memory.__init__,
+                                _Memory.direction)
 
     def record_update(stiff, pg):
         update(stiff, pg)
         events.append(("refresh", stiff.W is not None))
 
+    def record_build(mem, *args):
+        build(mem, *args)
+        events.append(("memory", mem.S.dtype))
+
     def record_direction(mem, *args):
         d = direction(mem, *args)
         assert d.dtype == np.float64
-        events.append(("direction", mem.S.dtype))
+        events.append(("direction", mem.S.dtype, len(mem)))
         return d
 
     monkeypatch.setattr(_Stiffness, "update", record_update)
+    monkeypatch.setattr(_Memory, "__init__", record_build)
     monkeypatch.setattr(_Memory, "direction", record_direction)
     return events
 
 
 def directions(events):
     """The memory dtypes of the ``regimes`` direction events."""
-    return [dtype for kind, dtype in events if kind == "direction"]
+    return [e[1] for e in events if e[0] == "direction"]
 
 
 class TestPrecision:
@@ -947,8 +966,11 @@ class TestPrecision:
         # ex1 at 96 x 96: every solve builds a factor and keeps it, so each
         # direction before a solve's first factor runs in float64 and each
         # after it in float32; only the p = 4 solve, which starts on
-        # windows, has directions before it. The strip's windows never get
-        # a factor: float64 throughout
+        # windows, has directions before it. Each solve builds its memory
+        # in the precision of its first direction: float32 from the first
+        # pair for p >= 8, while p = 4 restarts the memory at its first
+        # factor, and its first float32 direction sees it empty. The
+        # strip's windows never get a factor: float64 throughout
         grid, mask, dist = benchmark_grid(96)
         w = example1_weight(grid, mask)
         prev = None
@@ -963,6 +985,19 @@ class TestPrecision:
             assert all(d == np.float64 for d in before)
             assert after and all(d == np.float32 for d in after)
             assert bool(before) == (p == 4.0)
+            # the memory is built for the first direction
+            moves = [e for e in regimes if e[0] != "refresh"]
+            assert moves[0] == ("memory", moves[1][1])
+            built = [e[1] for e in moves if e[0] == "memory"]
+            empty = [i for i, e in enumerate(regimes)
+                     if e[0] == "direction" and e[2] == 0]
+            single = next(i for i, e in enumerate(regimes)
+                          if e[0] == "direction" and e[1] == np.float32)
+            if p == 4.0:
+                assert built == [np.float64, np.float32]
+                assert empty == [single]
+            else:
+                assert built == [np.float32] and not empty
         regimes.clear()
         prev = None
         for p in (16.0, 64.0):
@@ -994,30 +1029,37 @@ class TestPrecision:
             stiff.W, *vars(stiff.f32).values()))
         assert stiff.pg.dtype == stiff.D.dtype == np.float64
 
-    def test_memory_follows_the_factor_both_ways(self):
-        # float64 pairs move to float32 hat units when the stiffness gains
-        # a factor and back when it loses it: the direction of the same
-        # one-level stiffness moves only by the float32 rounding of the rows
+    def test_memory_restarts_when_the_factor_changes(self):
+        # pairs spanning 120 decades keep every float32 hat row within 1;
+        # a direction with a stiffness of the other precision empties the
+        # memory into that precision (zero rows, zero Gram matrix, unit
+        # scales) and is -H0 g with gamma = 1, both ways
         rng = np.random.default_rng(29)
         inside = disk_inside()
-        flat, _ = random_stiffness(rng, 10.0, inside)
-        cycle, _ = random_stiffness(rng, 2.0, inside)
+        flat, flat_pg = random_stiffness(rng, 10.0, inside)
+        cycle, cycle_pg = random_stiffness(rng, 2.0, inside)
         assert flat.W is None and cycle.W is not None
         n = flat.D.size
-        mem = _Memory(n)
-        for k in range(4):
-            s = rng.standard_normal(n) * 10.0 ** (40 * k - 60)
-            push(mem, s, s * rng.uniform(0.5, 2.0, n) * 10.0 ** (30 - 20 * k))
-        g = rng.standard_normal(n) * 1e-50
-        d = mem.direction(g, np.abs(g).max(), flat)
-        SY = mem.SY.copy()
-        mem.direction(g, np.abs(g).max(), cycle)
-        assert mem.S.dtype == np.float32
-        assert np.abs(mem.S).max() <= 1.0 and np.abs(mem.Y).max() <= 1.0
-        back = mem.direction(g, np.abs(g).max(), flat)
-        assert mem.S.dtype == np.float64 and mem.scales is None
-        assert np.array_equal(mem.SY, SY)  # power-of-two scales are exact
-        assert np.abs(back - d).max() <= 1e-5 * np.abs(d).max()
+        for single, stiff, pg in ((True, flat, flat_pg),
+                                  (False, cycle, cycle_pg)):
+            mem = _Memory(n, single)
+            for k in range(4):
+                s = rng.standard_normal(n) * 10.0 ** (40 * k - 60)
+                push(mem, s, s * rng.uniform(0.5, 2.0, n) * 10.0 ** (30 - 20 * k))
+            assert len(mem) == 4
+            if single:
+                assert np.abs(mem.S).max() <= 1.0 and np.abs(mem.Y).max() <= 1.0
+            g = rng.standard_normal(n) * 1e-50
+            d = mem.direction(g, np.abs(g).max(), stiff)
+            assert len(mem) == 0
+            assert mem.S.dtype == mem.Y.dtype == (
+                np.float64 if single else np.float32)
+            assert not (mem.S.any() or mem.Y.any() or mem.SY.any())
+            assert mem.scales == (None if single
+                                  else ([1.0] * _MEMORY, [1.0] * _MEMORY))
+            ref = -dense_h0(pg, inside)[0] @ g
+            tol = 1e-12 if single else 1e-5
+            assert np.abs(d - ref).max() <= tol * np.abs(ref).max()
 
 
 class TestTwoConeBound:

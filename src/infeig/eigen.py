@@ -9,12 +9,13 @@ t^(p-1) = 0 and every energy cell term is -pg (ux + uy) with ux, uy >= 0
 or pg (0 - x_base) with x_base >= 0, so the gradient there is a sum of
 nonpositive terms, and an L-BFGS-B free set would hold every node; the
 solver keeps none. Its initial Hessian is a symmetric two-grid cycle on
-the lagged-diffusivity (Kacanov) stiffness A(u): a Jacobi step 0.9 D with
-D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p does not set
-the iteration count, a Galerkin coarse solve of its residual on a grid 8
-times coarser, so the count grows ~1.3x, not ~2.4x, per doubling of the
-grid, and a second Jacobi step; the solver rebuilds the coarse factor every
-15 accepted iterations, and only on the whole box (below). Exactly while a
+the lagged-diffusivity (Kacanov) stiffness A(u): a Chebyshev smoothing step
+in D A with D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p
+does not set the iteration count, a Galerkin coarse solve of its residual
+on a grid 8 times coarser, so the count grows ~1.2x, not ~2.4x, per
+doubling of the grid, and a second smoothing step; the solver rebuilds the
+coarse factor every 15 accepted iterations, and only on the whole box
+(below). Exactly while a
 factor exists the L-BFGS direction (the cycle, gamma's quadratic form and
 the memory rows) runs in float32, on rows and a gradient scaled by powers
 of two, so that no weight scale over- or underflows them; the memory is
@@ -80,7 +81,12 @@ _CURV = np.finfo(float).eps  # a pair is kept when s.y > _CURV |s| |y|
 _EPS_D = 1e-3   # floor of the stiffness diagonal, relative to its max
 _CHEB = 0.4     # H0 = D - _CHEB D A D: the degree-1 Chebyshev polynomial
                 # in D A for a Jacobi-scaled spectrum on [1/2, 2]
-_OMEGA = 0.9    # damping of the two-grid cycle's Jacobi smoother
+# the two-grid cycle's smoother _SCALE (D - _SMOOTH D A D): the polynomial in
+# D A whose residual is the degree-2 Chebyshev polynomial on [_LO, 2], at most
+# 0.778 there
+_LO = 1 / 15
+_SMOOTH = 1 / (2 + _LO)
+_SCALE = 8 * (2 + _LO) / (4 + 12 * _LO + _LO * _LO)
 _COARSE = 8     # node spacing of H0's coarse grid, in fine nodes
 _REFRESH = 15   # accepted iterations between builds of the coarse stiffness
 _FRINGE = 0.1   # largest share of a coarse hat's weight on floored nodes
@@ -315,20 +321,26 @@ class _Stiffness:
     """The lagged-diffusivity cell stiffness A(u) on the node set ``inside``
     (a solve window's) and the L-BFGS initial Hessian built on it: the
     symmetric two-grid cycle
-    x = M q, x += P Ac^-1 P^T (q - A x), x += M (q - A x), with M = _OMEGA D
-    and Ac = P^T Abar P, while a coarse factor exists, else the one-level
-    step D - _CHEB D A D. As an operator the cycle is
-    H0 = 2 M - M A M + (I - M A) P Ac^-1 P^T (I - A M).
+    x = S q, x += P Ac^-1 P^T (q - A x), x += S (q - A x), with the smoother
+    S = _SCALE (D - _SMOOTH D A D) (``smooth``) and Ac = P^T Abar P, while a
+    coarse factor exists, else the one-level step D - _CHEB D A D: the same
+    polynomial on [1/2, 2], _CHEB = 1 / (1/2 + 2), its scale left to gamma.
+    As an operator the cycle is
+    H0 = 2 S - S A S + (I - S A) P Ac^-1 P^T (I - A S).
 
     A's quadratic form is v . A v = sum over cells of pg ((dx v)^2 +
     (dy v)^2), with dx, dy the differences from each cell's base corner and
     v zero outside, and D = 1 / diag A floored at _EPS_D of its max. By
-    Gershgorin the spectrum of D A lies in [0, 2], so on all inside nodes
-    2 M - M A M >= 2 _OMEGA (1 - _OMEGA) D = 0.18 D and the one-level step
-    is >= (1 - 2 _CHEB) D = 0.2 D; the coarse term is positive
-    semidefinite, so H0 is positive definite either way. The smoothing
-    steps cannot remove the h^-2 spread of A; the coarse solve does
-    (two-grid method, Xu, SIAM Review 1992).
+    Gershgorin the spectrum of D A lies in [0, 2]. S is p(D A) D with
+    p(x) = _SCALE (1 - _SMOOTH x), so on all inside nodes 2 S - S A S >=
+    min over x in [0, 2] of p(x) (2 - x p(x)) D = 0.197 D, at x = 2, and the
+    one-level step is >= (1 - 2 _CHEB) D = 0.2 D; the coarse term is
+    positive semidefinite, so H0 is positive definite either way. The
+    smoothing steps cannot remove the h^-2 spread of A; the coarse solve
+    does (two-grid method, Xu, SIAM Review 1992). Nor can the coarse space
+    reach the middle of D A's spectrum, which S damps by at most 0.778 on
+    [_LO, 2] for one stiffness product (polynomial smoothing, Adams,
+    Brezina, Hu & Tuminaro, J. Comput. Phys. 188, 2003).
 
     The coarse nodes lie _COARSE fine nodes apart, anchored at the collar
     row and column before the first inside node, and are numbered
@@ -354,9 +366,9 @@ class _Stiffness:
 
     The cycle and ``h0_quad`` with a factor run in float32 on float32
     input: Ac is assembled in float64, then factored and inverted in
-    float32, and there is no float64 W; ``lag`` keeps float32 copies of
-    pg, D and M = _OMEGA D (``_narrow``) while a factor exists, and the
-    cycle's differences, products and restriction take ``single`` and
+    float32, and there is no float64 W; ``lag`` keeps float32 copies of pg
+    and D (``_narrow``) while a factor exists, ``smooth`` runs on them, and
+    the cycle's differences, products and restriction take ``single`` and
     then use ``f32``: float32 operands under the float64 ones' names (box
     and scatter buffers, hats, pg and D), made with the first factor. The
     one-level step, ``matvec`` for the gradient and D for the solver's
@@ -420,11 +432,10 @@ class _Stiffness:
         return diag, floored
 
     def _narrow(self) -> None:
-        """The cycle's float32 pg, D and M = _OMEGA D."""
+        """The cycle's float32 pg and D."""
         f32 = self.f32
         f32.pg = self.pg.astype(np.float32)
         f32.D = self.D.astype(np.float32)
-        f32.M = (_OMEGA * self.D).astype(np.float32)
 
     def _coarsen(self, floored: np.ndarray, lifted: np.ndarray) -> None:
         """Build W from Ac on the active coarse nodes, those whose hat
@@ -505,20 +516,27 @@ class _Stiffness:
         nodes, L = box.ravel(), self.L
         return nodes[self.by:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
+    def smooth(self, q: np.ndarray) -> np.ndarray:
+        """S q, the cycle's smoothing step on ``f32``: _SCALE (v - (_SMOOTH
+        D) A v) with v = D q, the one-level step's form."""
+        D = self.f32.D
+        v = D * q
+        return _SCALE * (v - (_SMOOTH * D) * self.matvec(
+            *self.differences(v, single=True), single=True))
+
     def h0(self, q: np.ndarray) -> np.ndarray:
         """H0 q: the two-grid cycle in float32 with a coarse factor, else
         one step in float64; q comes in that precision."""
         if self.W is None:
             v = self.D * q
             return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
-        M = self.f32.M
-        x = M * q
+        x = self.smooth(q)
         r = q - self.matvec(*self.differences(x, single=True), single=True)
         z = ((self.W @ self.restrict(r, single=True)) @ self.W).reshape(
             self.px.shape[1], -1)
         x += (self.f32.px @ z @ self.f32.py.T)[self.box_inside]
-        x += M * (q - self.matvec(*self.differences(x, single=True),
-                                  single=True))
+        x += self.smooth(q - self.matvec(*self.differences(x, single=True),
+                                         single=True))
         return x
 
     def h0_quad(self, y: np.ndarray) -> float:
@@ -666,12 +684,12 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     of the initial Hessian gamma H0 (Nocedal-Wright 7.2, which allows any
     positive definite H0 at each step). H0 is the symmetric two-grid cycle
     of ``_Stiffness`` on A = A(u), the cell stiffness at the current
-    iterate weighted by the lagged diffusivity |grad u|^(p-2): a Jacobi
-    step, a Galerkin coarse solve from a grid ``_COARSE`` times coarser,
-    its factor built every ``_REFRESH`` accepted iterations and only while
-    the window is the whole box, and a second Jacobi step. The direction
-    is reset to -D df, D = 1 / diag A floored at ``_EPS_D`` of its max,
-    when it is not a descent direction.
+    iterate weighted by the lagged diffusivity |grad u|^(p-2): a Chebyshev
+    smoothing step, a Galerkin coarse solve from a grid ``_COARSE`` times
+    coarser, its factor built every ``_REFRESH`` accepted iterations and
+    only while the window is the whole box, and a second smoothing step.
+    The direction is reset to -D df, D = 1 / diag A floored at ``_EPS_D``
+    of its max, when it is not a descent direction.
     The direction runs in float32 exactly while the stiffness holds a
     coarse factor, else in float64 (``_Memory``): only the whole box,
     with at most a share _FRINGE of its nodes floored, has one, so every
@@ -683,8 +701,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     powers of two from max x (``evaluate``) and max |df| = max |r| kg
     (``gradient``). The iterate, the sums, df, the line search and the KKT
     residual stay float64, so ``converged`` certifies what it did and the
-    roots move only within the tolerance, by at most 7e-10 relative on ex1
-    at 48 x 48 to 192 x 192 against a float64 direction.
+    roots move only within the tolerance, by at most 4e-13 relative on ex1
+    at 48 x 48 to 192 x 192 against the same direction in float64.
     The line search backtracks on the projected arc max(u + tau d, 0) and
     accepts only a strict Armijo decrease with positive weighted mass, so
     each accepted step (one iteration, one ``callback(loglam)``) strictly decreases

@@ -33,8 +33,14 @@ def _require_keys(d: dict, allowed: set, required: set, where: str) -> None:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _number(v, where: str, positive: bool = False) -> float:
-    """A finite number, and > 0 when `positive`."""
+# bound on the magnitude of every length and coordinate, and on 1 / grid.h:
+# squares of lengths and of the differences of fields on a grid stay normal
+MAX_LENGTH = 1e150
+
+
+def _number(v, where: str, positive: bool = False,
+            bound: float = math.inf) -> float:
+    """A finite number, > 0 when `positive`, at most `bound` in magnitude."""
     try:
         x = float(v)
     except (TypeError, ValueError):
@@ -42,6 +48,9 @@ def _number(v, where: str, positive: bool = False) -> float:
     if not math.isfinite(x) or (positive and not x > 0):
         kind = "positive" if positive else "finite"
         raise ConfigError(f"{where} must be a {kind} number, got {v!r}")
+    if abs(x) > bound:
+        raise ConfigError(f"{where} must be at most {bound:g} in magnitude, "
+                          f"got {v!r}")
     return x
 
 
@@ -51,12 +60,14 @@ def _list(v, where: str) -> list:
     return v
 
 
-def _numbers(v, where: str, n: int | None = None) -> tuple:
-    """A non-empty list of numbers, of length n when n is given."""
+def _numbers(v, where: str, n: int | None = None,
+             bound: float = math.inf) -> tuple:
+    """A non-empty list of numbers, of length n when n is given, each at
+    most `bound` in magnitude."""
     if not _list(v, where) or (n is not None and len(v) != n):
         raise ConfigError(f"{where} must be a list of {n or 'one or more'} "
                           f"numbers, got {v!r}")
-    return tuple(_number(x, where) for x in v)
+    return tuple(_number(x, where, bound=bound) for x in v)
 
 
 def _integer(v, where: str, lo: int) -> int:
@@ -83,11 +94,12 @@ def _parse_shape(d: dict, where: str, region: bool = False):
     if op not in ("union", "difference"):
         raise ConfigError(f"{where}: op must be union or difference, got {op!r}")
     if kind == "disk":
-        return Disk(_numbers(d["center"], f"{where}.center", 2),
-                    _number(d["radius"], f"{where}.radius", positive=True), op)
+        return Disk(_numbers(d["center"], f"{where}.center", 2, MAX_LENGTH),
+                    _number(d["radius"], f"{where}.radius", True, MAX_LENGTH),
+                    op)
     if kind == "rect":
-        lo = _numbers(d["min"], f"{where}.min", 2)
-        hi = _numbers(d["max"], f"{where}.max", 2)
+        lo = _numbers(d["min"], f"{where}.min", 2, MAX_LENGTH)
+        hi = _numbers(d["max"], f"{where}.max", 2, MAX_LENGTH)
         if not (lo[0] < hi[0] and lo[1] < hi[1]):
             raise ConfigError(f"{where}: min must be below max on both axes, "
                               f"got min {list(lo)}, max {list(hi)}")
@@ -95,7 +107,8 @@ def _parse_shape(d: dict, where: str, region: bool = False):
     verts = _list(d["vertices"], f"{where}.vertices")
     if len(verts) < 3:
         raise ConfigError(f"{where}.vertices: a polygon needs 3 or more")
-    return Polygon(tuple(_numbers(v, f"{where}.vertex", 2) for v in verts), op)
+    return Polygon(tuple(_numbers(v, f"{where}.vertex", 2, MAX_LENGTH)
+                         for v in verts), op)
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,10 @@ class RunConfig:
         return rasterize(self.domain, self.grid)
 
     def build_weight(self, mask: DomainMask) -> WeightField:
-        return self.make_weight(self.grid, mask)
+        try:
+            return self.make_weight(self.grid, mask)
+        except ValueError as e:  # a weight that is not finite inside
+            raise ConfigError(f"weight: {e}") from e
 
     def zero_order_field(self, mask: DomainMask):
         if self.zero_order is None:
@@ -149,9 +165,13 @@ def parse_config(raw: dict) -> RunConfig:
 
     g = raw["grid"]
     _require_keys(g, {"nx", "ny", "h", "origin"}, {"nx", "ny", "h"}, "grid")
+    h = _number(g["h"], "grid.h", True, MAX_LENGTH)
+    if h < 1 / MAX_LENGTH:
+        raise ConfigError(f"grid.h must be at least {1 / MAX_LENGTH:g}, "
+                          f"got {g['h']!r}")
     grid = Grid(_integer(g["nx"], "grid.nx", 3), _integer(g["ny"], "grid.ny", 3),
-                _number(g["h"], "grid.h", positive=True),
-                _numbers(g.get("origin", [0.0, 0.0]), "grid.origin", 2))
+                h, _numbers(g.get("origin", [0.0, 0.0]), "grid.origin", 2,
+                            MAX_LENGTH))
 
     if not _list(raw["domain"], "domain"):
         raise ConfigError("domain: primitive list is empty")
@@ -176,7 +196,8 @@ def parse_config(raw: dict) -> RunConfig:
         make_weight = partial(build_weight, lambda X, Y: a * X + b * Y + c)
     elif kind == "radial":
         _require_keys(wspec, {"kind", "center", "coeffs"}, {"coeffs"}, "weight")
-        cx, cy = _numbers(wspec.get("center", [0.0, 0.0]), "weight.center", 2)
+        cx, cy = _numbers(wspec.get("center", [0.0, 0.0]), "weight.center", 2,
+                          MAX_LENGTH)
         coeffs = list(_numbers(wspec["coeffs"], "weight.coeffs"))
         make_weight = partial(build_weight, lambda X, Y: (
             np.polynomial.polynomial.polyval(np.hypot(X - cx, Y - cy), coeffs)))

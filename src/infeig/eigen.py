@@ -15,25 +15,24 @@ does not set the iteration count, a Galerkin coarse solve of its residual
 on a grid 8 times coarser, so the count grows ~1.2x, not ~2.4x, per
 doubling of the grid, and a second smoothing step; the solver rebuilds the
 coarse factor every 15 accepted iterations, and only on the whole box
-(below). Exactly while a
-factor exists the L-BFGS direction (the cycle, gamma's quadratic form and
-the memory rows) runs in float32, on rows and a gradient scaled by powers
-of two, so that no weight scale over- or underflows them; the memory is
-built in that precision and restarts empty in the other when a refresh
-gains or loses the factor, so no pair changes precision. The iterate, the
-sums, the gradient, the line search and the KKT residual stay float64, and
-L-BFGS admits any positive definite H0, so a rounded direction can cost
-iterations but never certifies a wrong point. A solve is
-converged only when its relative KKT residual is below the tolerance,
-and the returned field has unit weighted p-mass. All p-th roots and
-normalizations go through log space, so they stay finite at every finite
-p, and every power of a nonnegative array goes through ``_power``, which
-flushes results below the smallest normal double to exactly 0: at large
-p most bases are zero or underflow, numpy's pow is slow on both, and a
-flushed term is below the last bit of any sum. The weight m and the
-zero-order C enter every p-sum scaled to unit max, with the logs of the
-scales added back, so the roots are covariant under m -> c m at every c in
-the double range: lambda(c m) = lambda(m) / c.
+(below). Exactly while a factor exists the L-BFGS direction (the cycle,
+gamma's quadratic form and the memory rows) runs in float32, in
+power-of-two units the memory sets at each restart, so that no weight
+scale over- or underflows its rows; the memory is built in that precision
+and restarts empty in the other when a refresh gains or loses the factor,
+so no pair changes precision. The iterate, the sums, the gradient, the
+line search and the KKT residual stay float64, and L-BFGS admits any
+positive definite H0, so a rounded direction can cost iterations but never
+certifies a wrong point. A solve is converged only when its relative KKT
+residual is below the tolerance, and the returned field has unit weighted
+p-mass. All p-th roots and normalizations go through log space, so they
+stay finite at every finite p, and every power of a nonnegative array goes
+through ``_power``, which flushes results below the smallest normal double
+to exactly 0: at large p most bases are zero or underflow, numpy's pow is
+slow on both, and a flushed term is below the last bit of any sum. The
+weight m and the zero-order C enter every p-sum scaled to unit max, with
+the logs of the scales added back, so the roots are covariant under
+m -> c m at every c in the double range: lambda(c m) = lambda(m) / c.
 
 The solver does not call the public kernels: it evaluates each trial in
 one private pass whose power arrays the gradient and A(u) at the accepted
@@ -406,8 +405,8 @@ class _Stiffness:
         xpairs, self.qx, self.dx = _hat_pairs(self.px)
         ypairs, self.qy, self.dy = _hat_pairs(self.py)
         ncy = self.py.shape[1]
-        self.entries = [(xpairs[:, None, e] * ncy + ypairs[None, :, e]).ravel()
-                        for e in (0, 1)]
+        self.entries = tuple((xpairs[:, None, e] * ncy
+                              + ypairs[None, :, e]).ravel() for e in (0, 1))
 
     def update(self, pg: np.ndarray) -> None:
         """``lag`` to pg, then rebuild the coarse factor. The old factor
@@ -455,13 +454,9 @@ class _Stiffness:
             self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
         if not active.size:
             return
-        Ax = self._galerkin(floored).ravel()
-        number = np.full(self.weight.size, -1)
-        number[active] = np.arange(active.size)
-        rows, cols = (number[e] for e in self.entries)
-        sub = (rows >= 0) & (cols >= 0)
-        Ac = np.zeros((active.size, active.size), np.float32)
-        Ac[rows[sub], cols[sub]] = Ax[sub]
+        Ac = np.zeros((self.weight.size,) * 2, np.float32)
+        Ac[self.entries] = self._galerkin(floored).ravel()
+        Ac = Ac[np.ix_(active, active)]
         try:
             L = np.linalg.cholesky(Ac)
         except np.linalg.LinAlgError:
@@ -568,14 +563,15 @@ class _Memory:
     other rows hold zeros or old pairs and get zero coefficients.
 
     The rows are in H0's precision: float32 if ``single``, as while the
-    stiffness holds a coarse factor, else float64. In float32 they are in
-    hat units, s_i / sigma_i and y_i / tau_i with sigma_i and tau_i the
-    least powers of two above the bounds on |s_i| and |y_i| that ``push``
-    is given, so no row over- or underflows whatever the weight's scale,
-    and SY, kept in float64 with every loop scalar, is the Gram matrix of
-    the hat rows. The precision never changes under live pairs: when the
-    stiffness has gained or lost its factor, ``direction`` empties the
-    memory into H0's new precision first."""
+    stiffness holds a coarse factor, else float64. In float32 they are
+    s / sigma and y / tau in the units of their generation (the pairs
+    pushed since the memory was last empty), sigma and tau the least
+    powers of two above max |s| and max |y| of its first pair, so no row
+    over- or underflows whatever the weight's scale, and SY, kept in
+    float64 with every loop scalar, is the rows' Gram matrix. The
+    precision never changes under live pairs: when the stiffness has
+    gained or lost its factor, ``direction`` empties the memory into H0's
+    new precision first."""
 
     def __init__(self, n: int, single: bool):
         dtype = np.float32 if single else np.float64
@@ -583,8 +579,8 @@ class _Memory:
         self.Y = np.zeros((_MEMORY, n), dtype)
         self.SY = np.zeros((_MEMORY, _MEMORY))
         self.order = []
-        # (sigma, tau) of the float32 rows
-        self.scales = ([1.0] * _MEMORY, [1.0] * _MEMORY) if single else None
+        self.single = single
+        self.units = (1.0, 1.0)  # (sigma, tau) of the float32 rows
 
     def __len__(self) -> int:
         return len(self.order)
@@ -601,42 +597,41 @@ class _Memory:
             rows[:, pos] = getattr(self, name)
             setattr(self, name, rows)
 
-    def push(self, s: np.ndarray, y: np.ndarray, sy: float, s_max: float,
-             y_max: float) -> None:
-        """Store a pair of finite vectors with s . y = sy, |s| <= s_max and
-        |y| <= y_max, replacing the oldest when full. In float32 the Gram
-        diagonal is sy, as a float32 dot cannot resolve a small s . y."""
+    def push(self, s: np.ndarray, y: np.ndarray, sy: float) -> None:
+        """Store a pair of finite vectors with s . y = sy, replacing the
+        oldest when full; the first of a float32 generation sets its units.
+        In float32 the Gram diagonal is sy, as a float32 dot cannot resolve
+        a small s . y."""
+        if self.single:
+            if not self.order:
+                self.units = (_pow2(np.abs(s).max()), _pow2(np.abs(y).max()))
+            sigma, tau = self.units
+            s, y = s * (1.0 / sigma), y * (1.0 / tau)
         slot = self.order.pop(0) if len(self.order) == _MEMORY else len(self.order)
-        if self.scales is not None:
-            sigma, tau = self.scales
-            sigma[slot], tau[slot] = _pow2(s_max), _pow2(y_max)
-            s, y = s * (1.0 / sigma[slot]), y * (1.0 / tau[slot])
         self.S[slot], self.Y[slot] = s, y
         self.SY[slot, :] = self.Y @ self.S[slot]
         self.SY[:, slot] = self.S @ self.Y[slot]
-        if self.scales is not None:
-            self.SY[slot, slot] = sy / (sigma[slot] * tau[slot])
+        if self.single:
+            self.SY[slot, slot] = sy / (sigma * tau)
         self.order.append(slot)
 
-    def direction(self, g: np.ndarray, g_max: float,
-                  stiff: _Stiffness) -> np.ndarray:
+    def direction(self, g: np.ndarray, stiff: _Stiffness) -> np.ndarray:
         """-H g by the two-loop recursion over the stored pairs with the
-        initial Hessian gamma H0 of ``stiff``, |g| <= g_max. Pairs with
-        s . y <= 0 are skipped, and gamma = s . y / ``h0_quad(y)`` of the
-        newest kept pair. In float32 it runs on g / alpha, alpha a power
-        of two above g_max: with pi_i = sigma_i / tau_i and n the newest
-        kept pair, the first loop is unchanged on the hat Gram matrix, the
-        second loop's a_i is a_i pi_i / pi_n, gamma is the hat rows' and
-        the direction is alpha pi_n times the hat one, in float64. When
-        the stiffness has gained or lost its factor since the last call,
-        the memory restarts empty in H0's new precision, and the direction
+        initial Hessian gamma H0 of ``stiff``. Pairs with s . y <= 0 are
+        skipped, and gamma = s . y / ``h0_quad(y)`` of the newest kept pair.
+        In float32 it runs on g / tau and returns sigma times the result, in
+        float64: the recursion commutes with a power of two common to all
+        pairs. When the stiffness has gained or lost its factor since the
+        last call, the memory restarts empty in H0's new precision, with
+        sigma = tau the least power of two above max |g|, and the direction
         is -H0 g."""
-        if (stiff.W is None) != (self.scales is None):
+        if (stiff.W is not None) != self.single:
             self.__init__(self.S.shape[1], stiff.W is not None)
+            self.units = (_pow2(np.abs(g).max()),) * 2
         dtype = self.S.dtype
-        if self.scales is not None:
-            alpha = _pow2(g_max)
-            g = (g * (1.0 / alpha)).astype(dtype)
+        if self.single:
+            sigma, tau = self.units
+            g = (g * (1.0 / tau)).astype(dtype)
         sg = (self.S @ g).tolist()
         sy, ys = self.SY.tolist(), self.SY.T.tolist()
         hist = [i for i in self.order if sy[i][i] > 0.0]
@@ -653,18 +648,14 @@ class _Memory:
         r = stiff.h0(g - np.array(a, dtype) @ self.Y)
         r *= gamma
         yr = (self.Y @ r).tolist()
-        if self.scales is not None:
-            pi = [s / t for s, t in zip(*self.scales)]
-            pi_n = pi[hist[-1]] if hist else 1.0
-            a = [ai * pi_i / pi_n for ai, pi_i in zip(a, pi)]
         c = [0.0] * _MEMORY
         for i in hist:
             c[i] = a[i] - (yr[i] + sum(map(mul, c, ys[i]))) / sy[i][i]
         d = r + np.array(c, dtype) @ self.S
-        if self.scales is None:
+        if not self.single:
             return -d
         d = d.astype(np.float64)
-        d *= -alpha * pi_n
+        d *= -sigma
         return d
 
 
@@ -697,9 +688,9 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     where more of its nodes are floored. The memory is built in the
     precision of the stiffness after the first gradient; when a refresh
     gains or loses the factor, the next direction empties it into the new
-    precision and is -H0 df, tried at step 1. The float32 scales are
-    powers of two from max x (``evaluate``) and max |df| = max |r| kg
-    (``gradient``). The iterate, the sums, df, the line search and the KKT
+    precision and is -H0 df, tried at step 1. The float32 units are powers
+    of two the memory sets from its first pair after each restart
+    (``_Memory``). The iterate, the sums, df, the line search and the KKT
     residual stay float64, so ``converged`` certifies what it did and the
     roots move only within the tolerance, by at most 4e-13 relative on ex1
     at 48 x 48 to 192 x 192 against the same direction in float64.
@@ -789,8 +780,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         return ux, uy, gn, gmax, _power(gn, p / 2 - 1)
 
     def evaluate(x):
-        """One pass at x >= 0: (log lambda, log G, M, cache), or None when
-        the weighted mass is not positive. With M = max x and t = x / M, the
+        """One pass at x >= 0: (log lambda, log G, cache), or None when the
+        weighted mass is not positive. With M = max x and t = x / M, the
         cache keeps t^(p-1) and the ``diffusivity`` arrays, from which the
         p-th powers of the sums are one product away."""
         M = x.max()
@@ -810,11 +801,11 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         if C is not None:
             logE = float(np.logaddexp(logE, 2 * log_h + p * log_M
                                       + math.log(float(c_in @ r)) + log_C))
-        return logE - logG, logG, M, (tp1, sm, ux, uy, pg, log_g2max)
+        return logE - logG, logG, (tp1, sm, ux, uy, pg, log_g2max)
 
     def gradient(x, loglam, logG, cache):
-        """(df, relative KKT residual, max |df|) at the accepted trial x
-        from its cache, and ``stiff`` moved to x's pg. On the unit-mass
+        """(df, relative KKT residual) at the accepted trial x from its
+        cache, and ``stiff`` moved to x's pg. On the unit-mass
         rescaling uh = c u, f's gradient is c (dE - lam dG) / lam; dE's cell
         part is kg * A(x) x and the mass and C parts km * coef * t^(p-1),
         with kg and km in logs. Only the shape of A matters to H0, since the
@@ -836,9 +827,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
                 gE += (np.exp(log_km - log_kg + log_C) * c_in) * tp1
             r = gE - (np.exp(log_km - log_kg + loglam + log_m) * m) * tp1
             kkt = np.abs(r).max()
-            k = np.exp(log_kg + log_c - loglam)
-            r *= k
-            return r, float(kkt / np.abs(gE).max()), float(kkt) * float(k)
+            r *= np.exp(log_kg + log_c - loglam)
+            return r, float(kkt / np.abs(gE).max())
 
     def line_search(x, g, d, loglam, tau):
         """(x, evaluation, tau) at the first of tau, tau/2, ... on the
@@ -882,8 +872,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         x, ev = start(np.where(inside, np.abs(u0.u), 0.0))
     if ev is None:
         x, ev = start(seed_cone(w, p, dist).u)
-    loglam, logG, x_max, cache = ev
-    g, kkt, g_max = gradient(x, loglam, logG, cache)
+    loglam, logG, cache = ev
+    g, kkt = gradient(x, loglam, logG, cache)
     del ev, cache  # a trial's powers are spent once its gradient is taken
     memory = _Memory(x.size, stiff.W is not None)
     tau = 0.0
@@ -899,7 +889,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             break
         step = None
         if memory:
-            d = memory.direction(g, g_max, stiff)
+            d = memory.direction(g, stiff)
             if g @ d < 0.0:
                 step = line_search(x, g, d, loglam, 1.0)
         if step is None:
@@ -908,22 +898,21 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             memory.clear()
             d = -stiff.D * g
             step = line_search(x, g, d, loglam,
-                               0.01 * x_max / np.abs(d).max())
+                               0.01 * x.max() / np.abs(d).max())
         if step is None:
             stop = "line_search"
             break
         it += 1
-        xt, (loglam, logG, xt_max, cache), tau = step
+        xt, (loglam, logG, cache), tau = step
         if callback is not None:
             callback(loglam)
-        gt, kkt, gt_max = gradient(xt, loglam, logG, cache)
+        gt, kkt = gradient(xt, loglam, logG, cache)
         del step, cache
         s, y = xt - x, gt - g
         sy = s @ y
         if sy > _CURV * math.sqrt(s @ s) * math.sqrt(y @ y):
-            # x, xt >= 0, so |s| <= max(max x, max xt)
-            memory.push(s, y, float(sy), max(x_max, xt_max), g_max + gt_max)
-        x, g, x_max, g_max = xt, gt, xt_max, gt_max
+            memory.push(s, y, float(sy))
+        x, g = xt, gt
         if x[rim].any():
             x, g = grow(x, g)
 

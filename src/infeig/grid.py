@@ -15,6 +15,7 @@ d = h * sqrt(integer) exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,8 +116,9 @@ class Disk:
 
     def __post_init__(self):
         # contains squares the radius, so a negative one would act as |r|
-        if self.radius < 0:
-            raise ValueError(f"disk radius must be >= 0, got {self.radius}")
+        if not (self.radius >= 0 and self.radius * self.radius < math.inf):
+            raise ValueError(f"disk radius must be >= 0 with a finite "
+                             f"square, got {self.radius}")
 
     def contains(self, X, Y):
         return (X - self.center[0]) ** 2 + (Y - self.center[1]) ** 2 < self.radius ** 2

@@ -27,6 +27,8 @@ class WeightField:
         if self.m.shape != self.grid.shape:
             raise ValueError("weight shape does not match grid")
         mv = np.where(self.mask.inside, self.m, 0)
+        if not np.isfinite(mv).all():
+            raise ValueError("weight is not finite on an inside node")
         object.__setattr__(self, "m", mv)
         if self.eps_zero == 0.0:
             norm = np.maximum(mv.max(), -mv.min())  # max |m|, no temporary
@@ -54,10 +56,13 @@ def build_weight(spec, grid: Grid, mask: DomainMask) -> WeightField:
 
     `spec` is a callable f(X, Y) evaluated on the node coordinate arrays;
     piecewise-constant region lists go through :func:`regions_weight`.
-    One-signed weights are allowed (sign_changing comes back False).
+    One-signed weights are allowed (sign_changing comes back False). An
+    overflow is not a warning: a non-finite value on an inside node is the
+    ValueError of `WeightField`, and outside ones are zeroed.
     """
     X, Y = grid.coords()
-    m = np.asarray(spec(X, Y), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.asarray(spec(X, Y), dtype=float)
     return WeightField(grid, mask, m)
 
 

@@ -221,6 +221,19 @@ MALFORMED = {
     "solver_tol_negative": config_argv("sweep", solver={"tol": -1.0}),
     "solver_max_iter_negative": config_argv("sweep", solver={"max_iter": -1}),
     "solver_max_iter_fractional": config_argv("sweep", solver={"max_iter": 2.5}),
+    # a radial weight that overflows inside the disk printed a
+    # RuntimeWarning and ended as "no positive region", exit 3
+    "weight_not_finite_inside": config_argv("limits", weight={
+        "kind": "radial", "coeffs": [-1e308, 1e308, 1e308]}),
+    # squaring the radius raised OverflowError in Disk.contains
+    "domain_disk_radius_huge": config_argv("limits", domain=[
+        {"shape": "disk", "center": [0.0, 0.0], "radius": 1e155}]),
+    # the squared cell differences underflowed to 0, and the sweep raised
+    # from math.log
+    "grid_h_tiny": config_argv(
+        "sweep", grid={"nx": 9, "ny": 9, "h": 1e-170},
+        domain=[{"shape": "rect", "min": [5e-171, 5e-171],
+                 "max": [7.5e-170, 7.5e-170]}]),
 }
 
 

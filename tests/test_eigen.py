@@ -754,8 +754,8 @@ def random_stiffness(rng, decades, inside, flushed=None):
 
 
 def push(mem, s, y):
-    """mem.push with the pair's s . y and max norms."""
-    mem.push(s, y, s @ y, np.abs(s).max(), np.abs(y).max())
+    """mem.push with the pair's s . y."""
+    mem.push(s, y, s @ y)
 
 
 def check_gram_direction(rng, inside):
@@ -789,7 +789,7 @@ def check_gram_pass(rng, inside, decades):
     mem = _Memory(n, single)
 
     def check(g, pairs):
-        d = mem.direction(g, np.abs(g).max(), stiff)
+        d = mem.direction(g, stiff)
         assert mem.S.dtype == mem.Y.dtype == dtype
         assert d.dtype == np.float64
         ref = two_loop_reference(g, pairs, H0, G)
@@ -1063,37 +1063,53 @@ class TestPrecision:
             stiff.W, *vars(stiff.f32).values()))
         assert stiff.pg.dtype == stiff.D.dtype == np.float64
 
-    def test_memory_restarts_when_the_factor_changes(self):
-        # pairs spanning 120 decades keep every float32 hat row within 1;
-        # a direction with a stiffness of the other precision empties the
-        # memory into that precision (zero rows, zero Gram matrix, unit
-        # scales) and is -H0 g with gamma = 1, both ways
+    def test_memory_units_and_restarts(self):
+        # the first pair of a float32 generation sets its units: pairs
+        # 1e-12 to 1e12 times it keep finite rows, and the direction, which
+        # rescaling a pair leaves as it is, matches the dense oracle; after
+        # clear() a pair whose s is 1e200 larger sets new units. A
+        # direction with a stiffness of the other precision empties the
+        # memory into that precision (zero rows, zero Gram matrix) and is
+        # -H0 g with gamma = 1, both ways, at |g| ~ 1e-50 and 1e50
         rng = np.random.default_rng(29)
         inside = disk_inside()
         flat, flat_pg = random_stiffness(rng, 10.0, inside)
         cycle, cycle_pg = random_stiffness(rng, 2.0, inside)
         assert flat.W is None and cycle.W is not None
         n = flat.D.size
+        mem = _Memory(n, True)
+        pairs = []
+        for e in (0, 12, -12, 6, -6):
+            s = rng.standard_normal(n)
+            y = s * rng.uniform(0.5, 2.0, n) + 0.1 * rng.standard_normal(n)
+            pairs.append((s * 10.0 ** e, y * 10.0 ** e))
+            push(mem, *pairs[-1])
+        assert np.isfinite(mem.S).all() and np.isfinite(mem.Y).all()
+        assert 1e11 < np.abs(mem.S).max() < 1e13
+        g = rng.standard_normal(n)
+        H0, _, _, G = dense_h0(cycle_pg, inside)
+        ref = two_loop_reference(g, pairs, H0, G)
+        d = mem.direction(g, cycle)
+        assert np.abs(d - ref).max() <= 1e-5 * np.abs(ref).max()
+        mem.clear()
+        push(mem, s * 1e200, y)
+        (slot,) = mem.order
+        assert np.abs(mem.S[slot]).max() <= 1.0
+        assert np.abs(mem.Y[slot]).max() <= 1.0
         for single, stiff, pg in ((True, flat, flat_pg),
                                   (False, cycle, cycle_pg)):
-            mem = _Memory(n, single)
-            for k in range(4):
-                s = rng.standard_normal(n) * 10.0 ** (40 * k - 60)
-                push(mem, s, s * rng.uniform(0.5, 2.0, n) * 10.0 ** (30 - 20 * k))
-            assert len(mem) == 4
-            if single:
-                assert np.abs(mem.S).max() <= 1.0 and np.abs(mem.Y).max() <= 1.0
-            g = rng.standard_normal(n) * 1e-50
-            d = mem.direction(g, np.abs(g).max(), stiff)
-            assert len(mem) == 0
-            assert mem.S.dtype == mem.Y.dtype == (
-                np.float64 if single else np.float32)
-            assert not (mem.S.any() or mem.Y.any() or mem.SY.any())
-            assert mem.scales == (None if single
-                                  else ([1.0] * _MEMORY, [1.0] * _MEMORY))
-            ref = -dense_h0(pg, inside)[0] @ g
-            tol = 1e-12 if single else 1e-5
-            assert np.abs(d - ref).max() <= tol * np.abs(ref).max()
+            for scale in (1e-50, 1e50):
+                mem = _Memory(n, single)
+                push(mem, s * scale, y * scale)
+                g = rng.standard_normal(n) * scale
+                d = mem.direction(g, stiff)
+                assert len(mem) == 0
+                assert mem.S.dtype == mem.Y.dtype == (
+                    np.float64 if single else np.float32)
+                assert not (mem.S.any() or mem.Y.any() or mem.SY.any())
+                ref = -dense_h0(pg, inside)[0] @ g
+                tol = 1e-12 if single else 1e-5
+                assert np.abs(d - ref).max() <= tol * np.abs(ref).max()
 
 
 class TestTwoConeBound:
@@ -1142,6 +1158,16 @@ def benchmark_grid(n):
     grid = Grid(n, n, 2.1 / (n - 1), (-1.05, -1.05))
     mask = rasterize([Disk((0.0, 0.0), 1.0)], grid)
     return grid, mask, edt(mask)
+
+
+def scaled_ex1_sweep(s):
+    """(w, dist, results, bounds) of the sweep p = 4, 16, 64 on the 33 x 33
+    ex1 disk (m = 1 for r < 1/2, else -1) scaled by s."""
+    grid = Grid(33, 33, 2.1 * s / 32, (-1.05 * s, -1.05 * s))
+    mask = rasterize([Disk((0.0, 0.0), s)], grid)
+    w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.5 * s), 1.0)], grid, mask)
+    dist = edt(mask)
+    return w, dist, *sweep(w, [4, 16, 64], dist=dist)[1:]
 
 
 def strip_solve(p, u0=None, callback=None):
@@ -1368,17 +1394,9 @@ class TestSweep:
         # the ex1 disk scaled by s: at p = 64 the seed cone's plain weighted
         # mass underflows to 0 while its log is finite, and every root
         # scales as 1/s
-        def ex1(s):
-            grid = Grid(33, 33, 2.1 * s / 32, (-1.05 * s, -1.05 * s))
-            mask = rasterize([Disk((0.0, 0.0), s)], grid)
-            w = regions_weight(-1.0, [(Disk((0.0, 0.0), 0.5 * s), 1.0)],
-                               grid, mask)
-            dist = edt(mask)
-            return w, dist, *sweep(w, [4, 16, 64], dist=dist)[1:]
-
-        w, dist, results, bounds = ex1(s)
+        w, dist, results, bounds = scaled_ex1_sweep(s)
         assert weighted_mass_p(seed_cone(w, 64.0, dist), w, 64.0) == 0.0
-        _, _, refs, ref_bounds = ex1(1.0)
+        _, _, refs, ref_bounds = scaled_ex1_sweep(1.0)
         for res, bound, ref, ref_bound in zip(results, bounds, refs,
                                               ref_bounds, strict=True):
             assert res.converged
@@ -1393,6 +1411,18 @@ class TestSweep:
             assert np.isfinite(res.field.u).all()
             assert rayleigh_root(res.field, w, res.p) == pytest.approx(
                 res.lambda_root, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("s", [1e-148, 1e148])
+    def test_geometry_scale_at_the_length_bound(self, s):
+        # the same disk at the ends of the lengths a config admits (h from
+        # 1e-150, coordinates to 1e150): every solve certifies, and every
+        # root scales as 1/s
+        refs = scaled_ex1_sweep(1.0)[2]
+        for res, ref in zip(scaled_ex1_sweep(s)[2], refs, strict=True):
+            assert res.stop == "tol"
+            assert res.lambda_root * s == pytest.approx(ref.lambda_root,
+                                                        rel=1e-6)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("c", [1e-300, 1e-250, 1e-100, 1e100, 1e250,

@@ -102,3 +102,19 @@ def test_weight_build_matches_masked_copy():
             w = WeightField(grid, mask, mm)
             assert (w.m.view(np.int64) == ref.view(np.int64)).all()
             assert w.eps_zero == 1e-12 * np.abs(ref).max()
+
+
+def test_weight_not_finite_inside_is_an_error():
+    # a radial polynomial overflows near r = 1 without a RuntimeWarning,
+    # and its inf and nan inside the disk are a ValueError; non-finite
+    # values outside are zeroed
+    grid, mask, _ = disk_setup(1 / 16)
+    r = np.hypot(*grid.coords())
+    with pytest.raises(ValueError, match="not finite"):
+        build_weight(lambda X, Y: np.polynomial.polynomial.polyval(
+            np.hypot(X, Y), [-1e308, 1e308, 1e308]), grid, mask)
+    m = np.where(mask.inside, 1.0, np.inf)
+    assert WeightField(grid, mask, m).m[~mask.inside].max() == 0.0
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="not finite"):
+            WeightField(grid, mask, np.where(r < 0.5, bad, 1.0))

@@ -14,16 +14,17 @@ in D A with D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p
 does not set the iteration count, a Galerkin coarse solve of its residual
 on a grid 8 times coarser, so the count grows ~1.2x, not ~2.4x, per
 doubling of the grid, and a second smoothing step; the solver rebuilds the
-coarse factor every 15 accepted iterations, and only on the whole box
-(below). Exactly while a factor exists the L-BFGS direction (the cycle,
-gamma's quadratic form and the memory rows) runs in float32, in
-power-of-two units the memory sets at each restart, so that no weight
-scale over- or underflows its rows; the memory is built in that precision
-and restarts empty in the other when a refresh gains or loses the factor,
-so no pair changes precision. The iterate, the sums, the gradient, the
-line search and the KKT residual stay float64, and L-BFGS admits any
-positive definite H0, so a rounded direction can cost iterations but never
-certifies a wrong point. A solve is converged only when its relative KKT
+coarse factor after 0, 1, 3 and 7 accepted iterations and then every 15,
+and only on the whole box (below). Exactly while a factor exists the
+L-BFGS direction (the cycle, gamma's quadratic form and the memory rows)
+runs in float32, in power-of-two units the memory sets at each restart, so
+that no weight scale over- or underflows its rows; the memory is built in
+that precision and restarts empty in the other when a refresh gains or
+loses the factor, so no pair changes precision. The iterate, the sums, the
+gradient, the line search and the KKT residual stay float64, and L-BFGS
+admits any positive definite H0, so a rounded direction can cost
+iterations but never certifies a wrong point.
+A solve is converged only when its relative KKT
 residual is below the tolerance, and the returned field has unit weighted
 p-mass. All p-th roots and normalizations go through log space, so they
 stay finite at every finite p, and every power of a nonnegative array goes
@@ -87,7 +88,7 @@ _LO = 1 / 15
 _SMOOTH = 1 / (2 + _LO)
 _SCALE = 8 * (2 + _LO) / (4 + 12 * _LO + _LO * _LO)
 _COARSE = 8     # node spacing of H0's coarse grid, in fine nodes
-_REFRESH = 15   # accepted iterations between builds of the coarse stiffness
+_REFRESH = 15   # most accepted iterations between builds of the coarse factor
 _FRINGE = 0.1   # largest share of a coarse hat's weight on floored nodes
 _SHRINK = 0.8   # seed-cone radius factor per try until its mass is positive
 _MARGIN = 4     # nodes between the support's box and a solve window's edge
@@ -271,19 +272,32 @@ def _hats(n: int) -> np.ndarray:
         1.0 - np.abs(np.arange(n)[:, None] / _COARSE - np.arange(nc)), 0.0)
 
 
-def _invert_lower(L: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular L, in place, by halves:
-    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]], in a third of
-    the work of a general inverse and with one quarter-size temporary."""
-    n = L.shape[0]
-    if n <= 64:
-        L[:] = np.linalg.inv(L)
-        return L
-    k = n // 2
-    A, B, C = _invert_lower(L[:k, :k]), L[k:, :k], _invert_lower(L[k:, k:])
-    np.matmul(C @ B, A, out=B)
-    B *= -1.0
-    return L
+def _inverse_factor(Ac: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """W = L^-1 for the Cholesky factor L of the block-tridiagonal matrix
+    on the ``active`` nodes (sorted) of a coarse grid numbered row-major,
+    its rows of ncy nodes the blocks: Ac[I, d] is the ncy x ncy block
+    between coarse rows I and I + d - 1 over all nodes, of which d = 0, 1
+    are read. W's columns run over every node, zero off the active ones.
+    Block by block (Golub & Van Loan, Matrix Computations, 4.5), with C
+    the sub-diagonal block of L: C = A_{k,k-1} W_{k-1,k-1}^T, W_kk =
+    cholesky(A_kk - C C^T)^-1 and W's rows W_k = -W_kk C W_{k-1} off
+    the diagonal block; a coarse row with no active node is an empty
+    block, which cuts the coupling. Runs in Ac's precision; raises
+    LinAlgError when a Schur complement is not positive definite."""
+    ncx, _, ncy, _ = Ac.shape
+    # block I is active[ends[I + 1]:ends[I + 2]], on coarse row I
+    ends = np.searchsorted(active, np.arange(-1, ncx + 1) * ncy).tolist()
+    cols = active % ncy
+    W = np.zeros((active.size, ncx * ncy), Ac.dtype)
+    Wkk = W[:0, :0]
+    for I in range(ncx):
+        a, b, c = ends[I:I + 3]
+        J = cols[b:c, None]
+        C = Ac[I, 0][J, cols[a:b]] @ Wkk.T
+        Wkk = np.linalg.inv(np.linalg.cholesky(Ac[I, 1][J, J.T] - C @ C.T))
+        W[b:c] = -(Wkk @ C) @ W[a:b]
+        W[b:c, active[b:c]] = Wkk
+    return W
 
 
 def _hat_pairs(hats: np.ndarray):
@@ -353,10 +367,12 @@ class _Stiffness:
     coarse solve of a far-reaching hat amplifies the correction by up to
     1 / _EPS_D. Each ``update`` assembles Ac in three matrix products
     (``_coarsen``) and keeps it as W = L^-1 of its Cholesky factor L, so
-    Ac^-1 = W^T W; W's columns run over every coarse node of the box, zero
-    off the active ones; ``lag`` moves A and D and keeps W. The solver
-    calls ``update`` every ``_REFRESH`` accepted iterations, and only on
-    the whole box. No factor is built while more than a share _FRINGE of
+    Ac^-1 = W^T W. Ac is block-tridiagonal in the coarse rows, and W is
+    built block by block over them (``_inverse_factor``); its columns run
+    over every coarse node of the box, zero off the active ones; ``lag``
+    moves A and D and keeps W. The solver calls ``update`` after 0, 1, 3
+    and 7 accepted iterations and then every ``_REFRESH``, and only on the
+    whole box. No factor is built while more than a share _FRINGE of
     the nodes is floored (92-99 % on the boundary strip, whose one or two
     active hats cost the cycle iterations), with no active node, or when
     the factorization fails. ``h0_quad`` is the additive two-level form
@@ -399,14 +415,13 @@ class _Stiffness:
         self.y_edges = self.box_inside[:-1, :-1] & self.box_inside[:-1, 1:]
         self.px, self.py = _hats(bx), _hats(by)
         self.weight = self.restrict(1.0)
-        # Ac[(I, J), (I', J')] = Ax[(I, I'), (J, J')] over the pairs of
-        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1, with the
-        # coarse nodes numbered row-major
+        # Ac[I, I' - I + 1, J, J'] = Ax[(I, I'), (J, J')] over the pairs of
+        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1: the blocks
+        # of ``_inverse_factor`` between coarse rows I and I'
         xpairs, self.qx, self.dx = _hat_pairs(self.px)
         ypairs, self.qy, self.dy = _hat_pairs(self.py)
-        ncy = self.py.shape[1]
-        self.entries = tuple((xpairs[:, None, e] * ncy
-                              + ypairs[None, :, e]).ravel() for e in (0, 1))
+        self.entries = (xpairs[:, :1], xpairs[:, 1:] - xpairs[:, :1] + 1,
+                        ypairs[:, 0], ypairs[:, 1])
 
     def update(self, pg: np.ndarray) -> None:
         """``lag`` to pg, then rebuild the coarse factor. The old factor
@@ -446,25 +461,23 @@ class _Stiffness:
         py), the entry of P^T Abar P between hats (I, J) and (I', J') is
         Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy - Dx^T Ex Qy - Qx^T Ey Dy,
         where F is the floored diagonal and Ex, Ey are pg on the x and y
-        edges, all on the box. Ac is assembled in float64, then factored and
-        inverted in float32, the precision of the cycle, its only reader."""
+        edges, all on the box. Ac is assembled in float64 by coarse rows,
+        then factored and inverted in float32, the precision of the cycle,
+        its only reader; a Schur complement that is not positive definite
+        leaves no factor."""
         if np.count_nonzero(lifted) / lifted.size > _FRINGE:
             return
         active = np.flatnonzero((self.weight > 0.0) & (
             self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
         if not active.size:
             return
-        Ac = np.zeros((self.weight.size,) * 2, np.float32)
-        Ac[self.entries] = self._galerkin(floored).ravel()
-        Ac = Ac[np.ix_(active, active)]
+        Ac = np.zeros((self.px.shape[1], 3, self.py.shape[1],
+                       self.py.shape[1]), np.float32)
+        Ac[self.entries] = self._galerkin(floored)
         try:
-            L = np.linalg.cholesky(Ac)
+            self.W = _inverse_factor(Ac, active)
         except np.linalg.LinAlgError:
             return
-        del Ac
-        # W's columns run over every coarse node, zero off the active ones
-        self.W = np.zeros((active.size, self.weight.size), np.float32)
-        self.W[:, active] = _invert_lower(L)
         if self.f32 is None:  # box and scatter buffers and hats
             self.f32 = SimpleNamespace(
                 box=np.zeros(self.box.shape, np.float32),
@@ -677,8 +690,14 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     of ``_Stiffness`` on A = A(u), the cell stiffness at the current
     iterate weighted by the lagged diffusivity |grad u|^(p-2): a Chebyshev
     smoothing step, a Galerkin coarse solve from a grid ``_COARSE`` times
-    coarser, its factor built every ``_REFRESH`` accepted iterations and
-    only while the window is the whole box, and a second smoothing step.
+    coarser, and a second smoothing step. The coarse factor is built only
+    while the window is the whole box, after 0, 1, 3 and 7 accepted
+    iterations and then every ``_REFRESH``: A moves fastest at the start
+    of a solve, most of all on a warm start after p changes, and the
+    front-loaded builds take the ex1 sweep p = 4, 8, 16, 32 at 96 x 96
+    from 146 to 123 iterations. The schedule depends only on the
+    iteration count, so a windowed solve (below) holds a factor exactly
+    where the whole-box solve would.
     The direction is reset to -D df, D = 1 / diag A floored at ``_EPS_D``
     of its max, when it is not a descent direction.
     The direction runs in float32 exactly while the stiffness holds a
@@ -818,7 +837,8 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             2 * log_h + math.log(sm) + log_m)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # everything below is divided by kg, which the KKT ratio ignores
-            if box == whole and it % _REFRESH == 0:
+            if box == whole and (it % _REFRESH == 0 or it < _REFRESH
+                                 and (it + 1) & it == 0):
                 stiff.update(pg)
             else:
                 stiff.lag(pg)

@@ -14,7 +14,7 @@ from infeig import (Disk, DomainMask, Grid, ScalarField, SolverOpts,
                     mu1, negate, rasterize, regions_weight, solve_lambda1,
                     sweep, two_cone_upper_bound, weighted_mass_p)
 from infeig.eigen import (_COARSE, _FRINGE, _MARGIN, _MEMORY, _REFRESH,
-                          _Memory, _Stiffness, _invert_lower, _power,
+                          _Memory, _Stiffness, _inverse_factor, _power,
                           _underflow_cut, _window,
                           cone_rayleigh_root, dirichlet_energy_grad,
                           rayleigh_root, seed_cone, weighted_mass_grad)
@@ -753,6 +753,48 @@ def random_stiffness(rng, decades, inside, flushed=None):
     return stiff, pg
 
 
+def block_tridiagonal(rng, n):
+    """(A, ncy, active): a random symmetric positive definite matrix A on a
+    coarse grid of rows of ncy nodes, numbered row-major, that couples
+    only nodes of the same or neighbouring rows, and n active nodes, the
+    rows holding uneven numbers of them: one row one, the next none."""
+    ncy = math.isqrt(n) + 3
+    counts = []
+    while sum(counts) < n - 1:
+        counts.append(min(int(rng.integers(2, ncy + 1)), n - 1 - sum(counts)))
+    counts[len(counts) // 2:len(counts) // 2] = [1, 0]
+    active = np.concatenate([I * ncy + np.sort(rng.choice(ncy, k, False))
+                             for I, k in enumerate(counts)])
+    # B B^T with B block lower-bidiagonal by rows is block-tridiagonal
+    N = len(counts) * ncy
+    near = np.abs(np.arange(N)[:, None] // ncy - np.arange(N) // ncy) <= 1
+    B = np.tril(near * rng.standard_normal((N, N)) / math.sqrt(ncy))
+    B += 1.5 * np.eye(N)
+    return B @ B.T, ncy, active
+
+
+def banded(A, ncy):
+    """A in ``_inverse_factor``'s storage: Ac[I, d] the block between the
+    coarse rows I and I + d - 1 of ncy nodes, zero past the last row."""
+    ncx = A.shape[0] // ncy
+    blocks = A.reshape(ncx, ncy, ncx, ncy).transpose(0, 2, 1, 3)
+    Ac = np.zeros((ncx, 3, ncy, ncy))
+    for d in range(3):
+        rows = np.arange(max(1 - d, 0), min(ncx + 1 - d, ncx))
+        Ac[rows, d] = blocks[rows, rows + d - 1]
+    return Ac
+
+
+def unbanded(Ac):
+    """The matrix on every coarse node of the blocks Ac of ``banded``."""
+    ncx, _, ncy, _ = Ac.shape
+    blocks = np.zeros((ncx, ncx, ncy, ncy))
+    for d in range(3):
+        rows = np.arange(max(1 - d, 0), min(ncx + 1 - d, ncx))
+        blocks[rows, rows + d - 1] = Ac[rows, d]
+    return blocks.transpose(0, 2, 1, 3).reshape(ncx * ncy, -1)
+
+
 def push(mem, s, y):
     """mem.push with the pair's s . y."""
     mem.push(s, y, s @ y)
@@ -892,16 +934,56 @@ class TestLbfgsMemory:
         assert 0 < used < dense_prolongation(inside).shape[1]
 
     @pytest.mark.parametrize("n", [1, 40, 150, 484])
-    def test_invert_lower_matches_inverse(self, n):
-        # past 64 rows it recurses by halves; the coarse matrix has ~150
-        # nodes at 96 x 96 and 484 at 192 x 192
+    def test_inverse_factor_matches_dense(self, n):
+        # the block recurrence against inv(cholesky(A)) on the active
+        # nodes; the coarse matrix has ~150 active nodes at 96 x 96 and 484
+        # at 192 x 192. Exact in float64 up to rounding, and in float32,
+        # the coarse solve's precision, W^T W is A^-1 to its rounding
         rng = np.random.default_rng(n)
-        B = rng.standard_normal((n, n))
-        L = np.linalg.cholesky(B @ B.T + n * np.eye(n))
-        W = _invert_lower(L.copy())
-        assert not np.triu(W, 1).any()
-        ref = np.linalg.inv(L)
-        assert np.abs(W - ref).max() <= 1e-12 * np.abs(ref).max()
+        A, ncy, active = block_tridiagonal(rng, n)
+        dense = A[np.ix_(active, active)]
+        ref = np.linalg.inv(np.linalg.cholesky(dense))
+        others = np.setdiff1d(np.arange(A.shape[0]), active)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            W = _inverse_factor(banded(A, ncy).astype(dtype), active)
+            assert W.dtype == dtype and W.shape == (n, A.shape[0])
+            assert not W[:, others].any()
+            Wa = W[:, active].astype(float)
+            assert not np.triu(Wa, 1).any()
+            assert np.abs(Wa - ref).max() <= tol * np.abs(ref).max()
+            assert np.abs(Wa.T @ Wa @ dense - np.eye(n)).max() <= 10 * tol
+
+    def test_indefinite_schur_complement_leaves_no_factor(self, monkeypatch):
+        # the coupling between coarse rows tripled: every diagonal block of
+        # the coarse matrix is still positive definite and the matrix is
+        # not, so a Schur complement of the recurrence is indefinite; its
+        # LinAlgError leaves no factor, and H0 is the one-level step
+        stiff, _ = random_stiffness(np.random.default_rng(17), 2.0,
+                                    disk_inside())
+        assert stiff.W is not None
+        galerkin, band = stiff._galerkin, stiff.entries[1]
+        seen = []
+
+        def tripled(floored):
+            return np.where(band == 1, 1.0, 3.0) * galerkin(floored)
+
+        def recording(Ac, active):
+            seen.append((Ac, active))
+            return _inverse_factor(Ac, active)
+
+        monkeypatch.setattr(stiff, "_galerkin", tripled)
+        monkeypatch.setattr(eigen, "_inverse_factor", recording)
+        stiff.update(stiff.pg)
+        assert stiff.W is None
+        ((Ac, active),) = seen
+        ncy = Ac.shape[2]
+        dense = unbanded(Ac.astype(float))[np.ix_(active, active)]
+        assert np.linalg.eigvalsh(dense).min() < 0.0
+        for I in np.unique(active // ncy):
+            block = np.flatnonzero(active // ncy == I)
+            assert np.linalg.eigvalsh(dense[np.ix_(block, block)]).min() > 0.0
+        q = np.random.default_rng(19).standard_normal(stiff.D.size)
+        assert stiff.h0(q).dtype == np.float64
 
     def test_nonsquare_offset_mask_matches_dense(self):
         rng = np.random.default_rng(37)
@@ -1301,12 +1383,14 @@ class TestWindow:
         assert index_box(masks[0]) == index_box(inside)
         assert np.array_equal(masks[0], inside)
 
-    def test_coarse_factor_only_on_the_whole_box_every_refresh(
+    def test_coarse_factor_only_on_the_whole_box_on_schedule(
             self, monkeypatch):
         # the solver alone schedules the coarse factor: ``_coarsen`` runs
-        # only on the whole box, every _REFRESH accepted iterations. ex1
-        # starts on windows and reaches the whole box; the strip's windows
-        # never do, so its solves assemble no coarse matrix
+        # on the whole box after 0, 1, 3, 7 and then every _REFRESH
+        # accepted iterations, and nowhere else. ex1's p = 4 solve starts
+        # on windows and reaches the whole box, where it keeps the
+        # schedule; the later p start on the whole box. The strip's
+        # windows never reach it, so its solves assemble no coarse matrix
         calls, steps = [], [0]
         coarsen = _Stiffness._coarsen
 
@@ -1317,17 +1401,24 @@ class TestWindow:
         def count(_):
             steps[0] += 1
 
+        def scheduled(it):
+            return it in (0, 1, 3, 7) or it % _REFRESH == 0
+
         monkeypatch.setattr(_Stiffness, "_coarsen", recording)
         grid, mask, dist = benchmark_grid(96)
         w = example1_weight(grid, mask)
+        total = mask.inside.sum()
         prev = None
         for p in (4.0, 8.0, 16.0, 32.0):
             steps[0] = 0
-            prev = solve_lambda1(w, p, dist=dist, u0=prev,
-                                 callback=count).field
-        total = mask.inside.sum()
-        assert calls and all(n == total and it % _REFRESH == 0
-                             for n, it in calls)
+            calls.clear()
+            res = solve_lambda1(w, p, dist=dist, u0=prev, callback=count)
+            prev = res.field
+            assert calls and all(n == total for n, _ in calls)
+            built = [it for _, it in calls]
+            assert (built[0] > 0) == (p == 4.0)
+            assert built == [it for it in range(built[0], res.iterations + 1)
+                             if scheduled(it)]
         calls.clear()
         prev = None
         for p in (16.0, 64.0):

@@ -13,14 +13,15 @@ the lagged-diffusivity (Kacanov) stiffness A(u): a Chebyshev smoothing step
 in D A with D = 1 / diag A, so the contrast of |grad u|^(p-2) at large p
 does not set the iteration count, a Galerkin coarse solve of its residual
 on a grid 8 times coarser, so the count grows ~1.2x, not ~2.4x, per
-doubling of the grid, and a second smoothing step; the solver rebuilds the
-coarse factor after 0, 1, 3 and 7 accepted iterations and then every 15,
-and only on the whole box (below). Exactly while a factor exists the
-L-BFGS direction (the cycle, gamma's quadratic form and the memory rows)
-runs in float32, in power-of-two units the memory sets at each restart, so
-that no weight scale over- or underflows its rows; the memory is built in
-that precision and restarts empty in the other when a refresh gains or
-loses the factor, so no pair changes precision. The iterate, the sums, the
+doubling of the grid, and a second smoothing step; the solver builds the
+coarse factor only on the whole box (below), at every gradient that finds
+none, and rebuilds it when it is 3, 7 or a multiple of 15 accepted
+iterations old. Exactly while a factor exists the L-BFGS direction (the
+cycle, gamma's quadratic form and the memory rows) runs in float32, in
+power-of-two units the memory sets at each restart, so that no weight
+scale over- or underflows its rows; the memory is built in that precision
+and restarts empty in the other when a build gains or a refresh loses
+the factor, so no pair changes precision. The iterate, the sums, the
 gradient, the line search and the KKT residual stay float64, and L-BFGS
 admits any positive definite H0, so a rounded direction can cost
 iterations but never certifies a wrong point.
@@ -370,12 +371,13 @@ class _Stiffness:
     Ac^-1 = W^T W. Ac is block-tridiagonal in the coarse rows, and W is
     built block by block over them (``_inverse_factor``); its columns run
     over every coarse node of the box, zero off the active ones; ``lag``
-    moves A and D and keeps W. The solver calls ``update`` after 0, 1, 3
-    and 7 accepted iterations and then every ``_REFRESH``, and only on the
-    whole box. No factor is built while more than a share _FRINGE of
-    the nodes is floored (92-99 % on the boundary strip, whose one or two
-    active hats cost the cycle iterations), with no active node, or when
-    the factorization fails. ``h0_quad`` is the additive two-level form
+    moves A and D and keeps W. The solver calls ``update`` only on the
+    whole box: at every gradient that finds no factor, and when the factor
+    is 3, 7 or a multiple of ``_REFRESH`` accepted iterations old. No
+    factor is built while more than a share _FRINGE of the nodes is
+    floored (92-99 % on the boundary strip, whose one or two active hats
+    cost the cycle iterations), with no active node, or when the
+    factorization fails. ``h0_quad`` is the additive two-level form
     y . (D - _CHEB D A D) y + |W P^T y|^2, which scales H0 in the two-loop
     recursion.
 
@@ -691,13 +693,18 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     iterate weighted by the lagged diffusivity |grad u|^(p-2): a Chebyshev
     smoothing step, a Galerkin coarse solve from a grid ``_COARSE`` times
     coarser, and a second smoothing step. The coarse factor is built only
-    while the window is the whole box, after 0, 1, 3 and 7 accepted
-    iterations and then every ``_REFRESH``: A moves fastest at the start
-    of a solve, most of all on a warm start after p changes, and the
-    front-loaded builds take the ex1 sweep p = 4, 8, 16, 32 at 96 x 96
-    from 146 to 123 iterations. The schedule depends only on the
-    iteration count, so a windowed solve (below) holds a factor exactly
-    where the whole-box solve would.
+    while the window is the whole box: at every gradient that finds none,
+    and again when it is 3, 7 or a multiple of ``_REFRESH`` accepted
+    iterations old, its age counted from the build that gained it, so a
+    refresh that loses it restarts the count at the next build. A moves
+    fastest at the start of a solve, most of all on a warm start after p
+    changes, and the front-loaded builds take the ex1 sweep p = 4, 8, 16,
+    32 at 96 x 96 from 146 iterations, at one build per ``_REFRESH``, to
+    115; its p = 4 solve reaches the whole box after 3 steps and builds
+    at 8, the gate rejecting its tries at 4 to 7. A windowed solve (below)
+    holds no factor, and neither does the whole-box solve at the same
+    iterations: more than a share _FRINGE of the inside nodes lie outside
+    the window, where the iterate and pg are 0, so they are floored.
     The direction is reset to -D df, D = 1 / diag A floored at ``_EPS_D``
     of its max, when it is not a descent direction.
     The direction runs in float32 exactly while the stiffness holds a
@@ -829,6 +836,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         part is kg * A(x) x and the mass and C parts km * coef * t^(p-1),
         with kg and km in logs. Only the shape of A matters to H0, since the
         L-BFGS scaling gamma absorbs the constant."""
+        nonlocal born
         tp1, sm, ux, uy, pg, log_g2max = cache
         log_c = -logG / p
         log_p = math.log(p)
@@ -837,8 +845,10 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
             2 * log_h + math.log(sm) + log_m)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # everything below is divided by kg, which the KKT ratio ignores
-            if box == whole and (it % _REFRESH == 0 or it < _REFRESH
-                                 and (it + 1) & it == 0):
+            if box == whole and (stiff.W is None or it - born in (3, 7)
+                                 or (it - born) % _REFRESH == 0):
+                if stiff.W is None:
+                    born = it
                 stiff.update(pg)
             else:
                 stiff.lag(pg)
@@ -874,7 +884,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     def grow(x, g):
         """(x, g) on the window grown over x's support, with the memory
         pairs moved and the stiffness rebuilt at x, with no coarse factor
-        until the next refresh; every new node is 0 in all of them."""
+        before the next gradient; every new node is 0 in all of them."""
         old = nodes
         u = np.zeros(inside.shape)
         u[nodes] = x
@@ -887,6 +897,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
         return moved
 
     it = 0  # accepted iterations
+    born = 0  # the iteration of the build that started the factor's age
     ev = None
     if u0 is not None:
         x, ev = start(np.where(inside, np.abs(u0.u), 0.0))

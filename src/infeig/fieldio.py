@@ -30,9 +30,14 @@ def save_array(path, grid: Grid, values: np.ndarray, kind: str) -> None:
         "origin": [grid.origin[0], grid.origin[1]],
         "kind": kind,
     }
+    # np.savetxt's own row format, applied to each row's Python floats:
+    # the same bytes, without a numpy scalar per value; row by row, so no
+    # list of a whole large grid is held
+    row = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(path, "w") as f:
         f.write(json.dumps(header, sort_keys=True) + "\n")
-        np.savetxt(f, values, fmt="%.17g", delimiter=",")
+        for r in values:
+            f.write(row % tuple(r.tolist()))
 
 
 def load_array(path) -> tuple[Grid, np.ndarray, str]:

@@ -1284,6 +1284,11 @@ def windows(monkeypatch):
     return calls, counts, masks
 
 
+def refresh_ages(last):
+    """The ages 1..last of a coarse factor at which the solver rebuilds it."""
+    return [a for a in range(1, last + 1) if a in (3, 7) or a % _REFRESH == 0]
+
+
 def whole_box(monkeypatch):
     monkeypatch.setattr(eigen, "_window",
                         lambda inside, *args: index_box(inside))
@@ -1385,26 +1390,31 @@ class TestWindow:
 
     def test_coarse_factor_only_on_the_whole_box_on_schedule(
             self, monkeypatch):
-        # the solver alone schedules the coarse factor: ``_coarsen`` runs
-        # on the whole box after 0, 1, 3, 7 and then every _REFRESH
-        # accepted iterations, and nowhere else. ex1's p = 4 solve starts
-        # on windows and reaches the whole box, where it keeps the
-        # schedule; the later p start on the whole box. The strip's
-        # windows never reach it, so its solves assemble no coarse matrix
-        calls, steps = [], [0]
-        coarsen = _Stiffness._coarsen
+        # the solver alone schedules the coarse factor: on the whole box
+        # ``_coarsen`` runs at every gradient that finds no factor, and
+        # after a build at the factor's ages 3, 7 and the multiples of
+        # _REFRESH, and nowhere else. ex1's p = 4 solve starts on windows;
+        # on the whole box the gate rejects its first tries, as more than a
+        # share _FRINGE of the nodes is floored, until its first build. The
+        # later p start on the whole box and build at iteration 0, not at 1.
+        # The strip's windows never reach it, so its solves assemble no
+        # coarse matrix
+        calls, boxes, steps = [], [], [0]
+        coarsen, init = _Stiffness._coarsen, _Stiffness.__init__
 
         def recording(stiff, floored, lifted):
-            calls.append((floored.size, steps[0]))
             coarsen(stiff, floored, lifted)
+            calls.append((floored.size, steps[0], stiff.W is not None))
+
+        def building(stiff, nodes):
+            init(stiff, nodes)
+            boxes.append((np.count_nonzero(nodes), steps[0]))
 
         def count(_):
             steps[0] += 1
 
-        def scheduled(it):
-            return it in (0, 1, 3, 7) or it % _REFRESH == 0
-
         monkeypatch.setattr(_Stiffness, "_coarsen", recording)
+        monkeypatch.setattr(_Stiffness, "__init__", building)
         grid, mask, dist = benchmark_grid(96)
         w = example1_weight(grid, mask)
         total = mask.inside.sum()
@@ -1412,18 +1422,68 @@ class TestWindow:
         for p in (4.0, 8.0, 16.0, 32.0):
             steps[0] = 0
             calls.clear()
+            boxes.clear()
             res = solve_lambda1(w, p, dist=dist, u0=prev, callback=count)
+            assert res.converged
             prev = res.field
-            assert calls and all(n == total for n, _ in calls)
-            built = [it for _, it in calls]
-            assert (built[0] > 0) == (p == 4.0)
-            assert built == [it for it in range(built[0], res.iterations + 1)
-                             if scheduled(it)]
+            assert calls and all(n == total for n, _, _ in calls)
+            # the first gradient on the whole box: at 0 if the solve starts
+            # there, else after the step whose growth reached it
+            (entered,) = [it for n, it in boxes if n == total]
+            arrival = entered + (len(boxes) > 1)
+            first = next(it for _, it, built in calls if built)
+            tries = [*range(arrival, first + 1),
+                     *(first + a for a in refresh_ages(res.iterations - first))]
+            assert [it for _, it, _ in calls] == tries
+            assert [built for _, _, built in calls] == [
+                it >= first for it in tries]
+            if p == 4.0:
+                assert 0 < arrival < first
+            else:
+                assert arrival == first == 0 and tries[1] == 3
         calls.clear()
         prev = None
         for p in (16.0, 64.0):
             prev = strip_solve(p, u0=prev, callback=count).field
         assert not calls
+
+    def test_lost_factor_restarts_its_clock(self, monkeypatch, regimes):
+        # the gate fails at the refresh at age 3 of ex1-96's p = 8 solve:
+        # that refresh loses the factor, the next direction empties the
+        # memory into float64 and is -H0 df, the next gradient builds again
+        # and the direction after it empties the memory back into float32;
+        # the refreshes then sit at ages 3, 7, 15, ... of the new factor
+        grid, mask, dist = benchmark_grid(96)
+        w = example1_weight(grid, mask)
+        cold = solve_lambda1(w, 4.0, dist=dist)
+        calls, steps = [], [0]
+        coarsen = _Stiffness._coarsen
+
+        def gated(stiff, floored, lifted):
+            if steps[0] == 3:  # every node floored
+                lifted = np.ones_like(lifted)
+            coarsen(stiff, floored, lifted)
+            calls.append((steps[0], stiff.W is not None))
+
+        def count(_):
+            steps[0] += 1
+
+        monkeypatch.setattr(_Stiffness, "_coarsen", gated)
+        regimes.clear()
+        res = solve_lambda1(w, 8.0, dist=dist, u0=cold.field, callback=count)
+        assert res.converged
+        assert calls[:3] == [(0, True), (3, False), (4, True)]
+        ages = refresh_ages(res.iterations - 4)
+        assert len(ages) >= 3
+        assert calls[2:] == [(4 + a, True) for a in (0, *ages)]
+        lost = regimes.index(("refresh", False))
+        assert regimes[lost:lost + 6] == [
+            ("refresh", False), ("memory", np.float64),
+            ("direction", np.float64, 0), ("refresh", True),
+            ("memory", np.float32), ("direction", np.float32, 0)]
+        assert [e[1] for e in regimes if e[0] == "memory"] == [
+            np.float32, np.float64, np.float32]
+        assert all(d == np.float32 for d in directions(regimes[lost + 6:]))
 
     def test_window_holding_most_nodes_runs_on_the_whole_box(self, windows):
         # ex1's 48 x 48 seed cone: its widened box leaves out at most a

@@ -63,11 +63,11 @@ certified fields are 0 on 81 % of the inside nodes, and its windows hold
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import mul
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -277,8 +277,8 @@ def _inverse_factor(Ac: np.ndarray, active: np.ndarray) -> np.ndarray:
     """W = L^-1 for the Cholesky factor L of the block-tridiagonal matrix
     on the ``active`` nodes (sorted) of a coarse grid numbered row-major,
     its rows of ncy nodes the blocks: Ac[I, d] is the ncy x ncy block
-    between coarse rows I and I + d - 1 over all nodes, of which d = 0, 1
-    are read. W's columns run over every node, zero off the active ones.
+    between coarse rows I and I + d - 1 over all nodes, d = 0, 1. W's
+    columns run over every node, zero off the active ones.
     Block by block (Golub & Van Loan, Matrix Computations, 4.5), with C
     the sub-diagonal block of L: C = A_{k,k-1} W_{k-1,k-1}^T, W_kk =
     cholesky(A_kk - C C^T)^-1 and W's rows W_k = -W_kk C W_{k-1} off
@@ -301,13 +301,13 @@ def _inverse_factor(Ac: np.ndarray, active: np.ndarray) -> np.ndarray:
     return W
 
 
-def _hat_pairs(hats: np.ndarray):
+def _hat_pairs(hats: np.ndarray, offsets):
     """(pairs, Q, Dq) for the 1-D hat matrix h: the pairs k = (I, I') of
-    overlapping hats, |I - I'| <= 1, with Q[i, k] = h[i, I] h[i, I'] and
-    Dq[i, k] = h[i + 1, I] h[i, I'] + h[i, I] h[i + 1, I'] for the first
-    n - 1 nodes."""
+    overlapping hats with I' - I in ``offsets``, with Q[i, k] = h[i, I]
+    h[i, I'] and Dq[i, k] = h[i + 1, I] h[i, I'] + h[i, I] h[i + 1, I'] for
+    the first n - 1 nodes."""
     nc = hats.shape[1]
-    pairs = np.array([(I, I + d) for I in range(nc) for d in (-1, 0, 1)
+    pairs = np.array([(I, I + d) for I in range(nc) for d in offsets
                       if 0 <= I + d < nc])
     a, b = hats[:, pairs[:, 0]], hats[:, pairs[:, 1]]
     return pairs, a * b, a[1:] * b[:-1] + a[:-1] * b[1:]
@@ -382,14 +382,14 @@ class _Stiffness:
     recursion.
 
     The cycle and ``h0_quad`` with a factor run in float32 on float32
-    input: Ac is assembled in float64, then factored and inverted in
-    float32, and there is no float64 W; ``lag`` keeps float32 copies of pg
-    and D (``_narrow``) while a factor exists, ``smooth`` runs on them, and
-    the cycle's differences, products and restriction take ``single`` and
-    then use ``f32``: float32 operands under the float64 ones' names (box
-    and scatter buffers, hats, pg and D), made with the first factor. The
-    one-level step, ``matvec`` for the gradient and D for the solver's
-    restart are float64.
+    input, on ``f32``: a float32 twin of the stiffness on the same nodes,
+    whose box and scatter buffers and hats px, py are float32 and whose pg
+    and D are float32 copies of the stiffness's own while a factor exists
+    (``_narrow``). ``restrict``, ``_spread``, ``matvec``, ``differences``
+    and ``smooth`` run in the precision of the object they are called on.
+    Ac is assembled in float64, then factored and inverted in float32, and
+    there is no float64 W. The one-level step, ``matvec`` for the gradient
+    and D for the solver's restart are float64.
 
     Every cell array lives on the ``index_box`` of the nodes, collar row
     and column included, in row-major order: with bx x by box nodes there are
@@ -411,19 +411,22 @@ class _Stiffness:
         self.box = np.zeros((bx, by))  # zero outside the inside nodes
         self.cells = np.zeros(bx * by)  # scatter buffer
         self.pg = self.D = self.W = None
-        self.f32 = None  # the cycle's float32 operands, from the first factor
         # edges with both ends inside, by their base node
         self.x_edges = self.box_inside[:-1] & self.box_inside[1:]
         self.y_edges = self.box_inside[:-1, :-1] & self.box_inside[:-1, 1:]
         self.px, self.py = _hats(bx), _hats(by)
         self.weight = self.restrict(1.0)
         # Ac[I, I' - I + 1, J, J'] = Ax[(I, I'), (J, J')] over the pairs of
-        # overlapping 1-D hats, |I - I'| <= 1 and |J - J'| <= 1: the blocks
-        # of ``_inverse_factor`` between coarse rows I and I'
-        xpairs, self.qx, self.dx = _hat_pairs(self.px)
-        ypairs, self.qy, self.dy = _hat_pairs(self.py)
+        # overlapping 1-D hats with I' = I - 1 or I and |J - J'| <= 1: the
+        # blocks ``_inverse_factor`` reads, between coarse rows I and I'
+        xpairs, self.qx, self.dx = _hat_pairs(self.px, (-1, 0))
+        ypairs, self.qy, self.dy = _hat_pairs(self.py, (-1, 0, 1))
         self.entries = (xpairs[:, :1], xpairs[:, 1:] - xpairs[:, :1] + 1,
                         ypairs[:, 0], ypairs[:, 1])
+        # the cycle's twin: float32 buffers and hats on the same nodes
+        self.f32 = copy.copy(self)
+        for name in ("box", "cells", "px", "py"):
+            setattr(self.f32, name, getattr(self, name).astype(np.float32))
 
     def update(self, pg: np.ndarray) -> None:
         """``lag`` to pg, then rebuild the coarse factor. The old factor
@@ -431,8 +434,7 @@ class _Stiffness:
         self.W = None
         diag, floored = self.lag(pg)
         self._coarsen(floored, floored > diag)
-        if self.W is not None:
-            self._narrow()
+        self._narrow()
 
     def lag(self, pg: np.ndarray):
         """Move A to the cell diffusivity pg and D to its floored diagonal,
@@ -443,15 +445,14 @@ class _Stiffness:
         diag = self._spread(2.0 * pg, pg, pg)
         floored = np.maximum(diag, _EPS_D * diag.max())
         self.D = 1.0 / floored
-        if self.W is not None:
-            self._narrow()
+        self._narrow()
         return diag, floored
 
     def _narrow(self) -> None:
-        """The cycle's float32 pg and D."""
-        f32 = self.f32
-        f32.pg = self.pg.astype(np.float32)
-        f32.D = self.D.astype(np.float32)
+        """The twin's float32 pg and D, while a factor exists."""
+        if self.W is not None:
+            self.f32.pg = self.pg.astype(np.float32)
+            self.f32.D = self.D.astype(np.float32)
 
     def _coarsen(self, floored: np.ndarray, lifted: np.ndarray) -> None:
         """Build W from Ac on the active coarse nodes, those whose hat
@@ -464,7 +465,8 @@ class _Stiffness:
         Ax[(I, I'), (J, J')] with Ax = Qx^T F Qy - Dx^T Ex Qy - Qx^T Ey Dy,
         where F is the floored diagonal and Ex, Ey are pg on the x and y
         edges, all on the box. Ac is assembled in float64 by coarse rows,
-        then factored and inverted in float32, the precision of the cycle,
+        its blocks on and below the diagonal only, as Ac is symmetric, then
+        factored and inverted in float32, the precision of the cycle,
         its only reader; a Schur complement that is not positive definite
         leaves no factor."""
         if np.count_nonzero(lifted) / lifted.size > _FRINGE:
@@ -473,18 +475,13 @@ class _Stiffness:
             self.restrict(lifted.astype(float)) <= _FRINGE * self.weight))
         if not active.size:
             return
-        Ac = np.zeros((self.px.shape[1], 3, self.py.shape[1],
+        Ac = np.zeros((self.px.shape[1], 2, self.py.shape[1],
                        self.py.shape[1]), np.float32)
         Ac[self.entries] = self._galerkin(floored)
         try:
             self.W = _inverse_factor(Ac, active)
         except np.linalg.LinAlgError:
             return
-        if self.f32 is None:  # box and scatter buffers and hats
-            self.f32 = SimpleNamespace(
-                box=np.zeros(self.box.shape, np.float32),
-                cells=np.zeros(self.cells.shape, np.float32),
-                px=self.px.astype(np.float32), py=self.py.astype(np.float32))
 
     def _galerkin(self, floored: np.ndarray) -> np.ndarray:
         """Ax of ``_coarsen``, in a call of its own so that its box-sized
@@ -496,43 +493,38 @@ class _Stiffness:
         return ((self.qx.T @ self.box - self.dx.T @ ex) @ self.qy
                 - (self.qx[:-1].T @ ey) @ self.dy)
 
-    def restrict(self, v, single: bool = False) -> np.ndarray:
-        """P^T v on every coarse node, row-major, on ``f32`` if ``single``."""
-        ops = self.f32 if single else self
-        ops.box[self.box_inside] = v
-        return (ops.px.T @ ops.box @ ops.py).ravel()
+    def restrict(self, v) -> np.ndarray:
+        """P^T v on every coarse node, row-major."""
+        self.box[self.box_inside] = v
+        return (self.px.T @ self.box @ self.py).ravel()
 
-    def _spread(self, base, sx, sy, single: bool = False) -> np.ndarray:
+    def _spread(self, base, sx, sy) -> np.ndarray:
         """Inside values of the nodal sums of the cell terms: base at each
         cell's base corner, sx at its +x and sy at its +y corner."""
-        cells, L = (self.f32 if single else self).cells, self.L
+        cells, L = self.cells, self.L
         cells[:L] = base
         cells[L:] = 0.0
         cells[self.by:] += sx
         cells[1:L + 1] += sy
         return cells[self.box_inside.ravel()]
 
-    def matvec(self, vx: np.ndarray, vy: np.ndarray,
-               single: bool = False) -> np.ndarray:
+    def matvec(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """A v on the inside nodes from the cell differences vx, vy of v."""
-        pg = (self.f32 if single else self).pg
-        sx, sy = pg * vx, pg * vy
-        return self._spread(-(sx + sy), sx, sy, single)
+        sx, sy = self.pg * vx, self.pg * vy
+        return self._spread(-(sx + sy), sx, sy)
 
-    def differences(self, v: np.ndarray, single: bool = False):
+    def differences(self, v: np.ndarray):
         """Cell differences (dx v, dy v) of the inside values v."""
-        box = (self.f32 if single else self).box
-        box[self.box_inside] = v
-        nodes, L = box.ravel(), self.L
+        self.box[self.box_inside] = v
+        nodes, L = self.box.ravel(), self.L
         return nodes[self.by:] - nodes[:L], nodes[1:L + 1] - nodes[:L]
 
     def smooth(self, q: np.ndarray) -> np.ndarray:
-        """S q, the cycle's smoothing step on ``f32``: _SCALE (v - (_SMOOTH
-        D) A v) with v = D q, the one-level step's form."""
-        D = self.f32.D
-        v = D * q
-        return _SCALE * (v - (_SMOOTH * D) * self.matvec(
-            *self.differences(v, single=True), single=True))
+        """S q, the cycle's smoothing step: _SCALE (v - (_SMOOTH D) A v)
+        with v = D q, the one-level step's form."""
+        v = self.D * q
+        return _SCALE * (v - (_SMOOTH * self.D) * self.matvec(
+            *self.differences(v)))
 
     def h0(self, q: np.ndarray) -> np.ndarray:
         """H0 q: the two-grid cycle in float32 with a coarse factor, else
@@ -540,26 +532,24 @@ class _Stiffness:
         if self.W is None:
             v = self.D * q
             return v - (_CHEB * self.D) * self.matvec(*self.differences(v))
-        x = self.smooth(q)
-        r = q - self.matvec(*self.differences(x, single=True), single=True)
-        z = ((self.W @ self.restrict(r, single=True)) @ self.W).reshape(
-            self.px.shape[1], -1)
-        x += (self.f32.px @ z @ self.f32.py.T)[self.box_inside]
-        x += self.smooth(q - self.matvec(*self.differences(x, single=True),
-                                         single=True))
+        f = self.f32
+        x = f.smooth(q)
+        r = q - f.matvec(*f.differences(x))
+        z = ((self.W @ f.restrict(r)) @ self.W).reshape(self.px.shape[1], -1)
+        x += (f.px @ z @ f.py.T)[self.box_inside]
+        x += f.smooth(q - f.matvec(*f.differences(x)))
         return x
 
     def h0_quad(self, y: np.ndarray) -> float:
         """y . (D - _CHEB D A D) y + |W P^T y|^2, no scatter: the additive
         two-level form, whose ratio to s . y scales H0; in float32 with a
         coarse factor, as ``h0``."""
-        single = self.W is not None
-        ops = self.f32 if single else self
+        ops = self if self.W is None else self.f32
         v = ops.D * y
-        vx, vy = self.differences(v, single)
+        vx, vy = ops.differences(v)
         quad = float(y @ v) - _CHEB * float(np.vdot(ops.pg, vx * vx + vy * vy))
-        if single:
-            wy = self.W @ self.restrict(y, single)
+        if self.W is not None:
+            wy = self.W @ ops.restrict(y)
             quad += float(wy @ wy)
         return quad
 
@@ -698,10 +688,7 @@ def solve_lambda1(w: WeightField, p: float, C: ScalarField | None = None,
     iterations old, its age counted from the build that gained it, so a
     refresh that loses it restarts the count at the next build. A moves
     fastest at the start of a solve, most of all on a warm start after p
-    changes, and the front-loaded builds take the ex1 sweep p = 4, 8, 16,
-    32 at 96 x 96 from 146 iterations, at one build per ``_REFRESH``, to
-    115; its p = 4 solve reaches the whole box after 3 steps and builds
-    at 8, the gate rejecting its tries at 4 to 7. A windowed solve (below)
+    changes, so the builds are front-loaded. A windowed solve (below)
     holds no factor, and neither does the whole-box solve at the same
     iterations: more than a share _FRINGE of the inside nodes lie outside
     the window, where the iterate and pg are 0, so they are floored.

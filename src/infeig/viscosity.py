@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import NumericError
 from .grid import ScalarField
 from .weight import WeightField
 
@@ -199,6 +200,8 @@ def check(u: ScalarField, lam: float, w: WeightField,
     a few slabs instead of a dozen full grids.
     Thresholds, labels and residuals read u only inside the domain, as for
     u zeroed outside; `boundary_max`, the largest |u| outside, only there.
+    A regime whose max residual is not finite, as where the second
+    differences over h^2 overflow, raises NumericError.
     """
     if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -215,12 +218,15 @@ def check(u: ScalarField, lam: float, w: WeightField,
         keep = slice(r0 - a, r1 - a)
         us = u.u[a:b]
         labels = _labels(us, w.m[a:b], inside[a:b], h, eps, kink_tol)[keep]
-        ux, uy, *second = _stencils(us, h)
-        dinf = _inf_lap(ux, uy, *second)[keep]
-        gn = np.hypot(ux[keep], uy[keep])
-        lu = lam * us[keep]
-        for name, lab, res in (("pos", POS, np.abs(np.minimum(-dinf, gn - lu))),
-                               ("neg", NEG, np.abs(np.maximum(-dinf, -gn - lu))),
+        # an overflow ends as a residual that is not finite, raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            ux, uy, *second = _stencils(us, h)
+            dinf = _inf_lap(ux, uy, *second)[keep]
+            gn = np.hypot(ux[keep], uy[keep])
+            lu = lam * us[keep]
+            res_pos = np.abs(np.minimum(-dinf, gn - lu))
+            res_neg = np.abs(np.maximum(-dinf, -gn - lu))
+        for name, lab, res in (("pos", POS, res_pos), ("neg", NEG, res_neg),
                                ("zero", ZERO, np.abs(dinf))):
             sel = labels == lab
             counts[name] += int(np.count_nonzero(sel))
@@ -228,6 +234,10 @@ def check(u: ScalarField, lam: float, w: WeightField,
             max_residual[name] = float(np.maximum(max_residual[name],
                                                   res[sel].max(initial=0.0)))
         excluded += int(np.count_nonzero((labels == EXCLUDED) & inside[r0:r1]))
+    bad = [name for name, mx in max_residual.items() if not np.isfinite(mx)]
+    if bad:
+        raise NumericError(f"check: the max residual is not finite on the "
+                           f"{', '.join(bad)} nodes at h = {h:.6g}")
     tol = opts.c_tol * h
     passes = {name: mx <= tol for name, mx in max_residual.items()}
     return ViscosityReport(max_residual=max_residual, counts=counts,

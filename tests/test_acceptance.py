@@ -241,7 +241,7 @@ def test_sweep_roots_match_polished():
 
 
 def test_ex1_sweep_iteration_budget():
-    # the two-grid cycle certifies the 96x96 sweep in ~150 iterations (~200
+    # the two-grid cycle certifies the 96x96 sweep in 115 iterations (~200
     # with one damped Jacobi step per side), the additive two-level initial
     # Hessian took ~290, the one-level Chebyshev-Jacobi one ~530 and the
     # diagonal one 863; the bound leaves room for the +-20 % that last-bit

@@ -318,6 +318,29 @@ class TestExitCodes:
         assert [(float(r.split(",")[0]), r.split(",")[-1])
                 for r in rows[1:]] == [(64.0, "1"), (1e300, "0")]
 
+    def test_check_nonfinite_residual_is_exit_2(self, tmp_path, capsys):
+        # the 33 x 33 ex1 disk scaled by 1e-148: the second differences of
+        # its certified p = 4 field overflow over h^2, so its max residuals
+        # are not finite: exit 2, one error line and no RuntimeWarning
+        s = 1e-148
+        path, _ = disk_config(
+            tmp_path,
+            grid={"nx": 33, "ny": 33, "h": 2.1 * s / 32,
+                  "origin": [-1.05 * s, -1.05 * s]},
+            domain=[{"shape": "disk", "center": [0.0, 0.0], "radius": s}],
+            weight={"kind": "regions", "background": -1.0, "regions": [
+                {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5 * s,
+                 "value": 1.0}]})
+        assert cli.main(["sweep", "--config", str(path)]) == 0
+        row = (tmp_path / "out_sweep.csv").read_text().splitlines()[1]
+        lam = row.split(",")[1]
+        capsys.readouterr()
+        field = str(tmp_path / "out_field_p4.csv")
+        assert cli.main(["check", "--config", str(path), "--field", field,
+                         "--lam", lam]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_grid_mismatch_is_exit_1(self, tmp_path):
         path, raw = disk_config(tmp_path)
         other = Grid(9, 9, 0.5, (-2.0, -2.0))

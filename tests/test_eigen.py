@@ -775,23 +775,26 @@ def block_tridiagonal(rng, n):
 
 def banded(A, ncy):
     """A in ``_inverse_factor``'s storage: Ac[I, d] the block between the
-    coarse rows I and I + d - 1 of ncy nodes, zero past the last row."""
+    coarse rows I and I + d - 1 of ncy nodes, d = 0, 1, zero before the
+    first row."""
     ncx = A.shape[0] // ncy
     blocks = A.reshape(ncx, ncy, ncx, ncy).transpose(0, 2, 1, 3)
-    Ac = np.zeros((ncx, 3, ncy, ncy))
-    for d in range(3):
-        rows = np.arange(max(1 - d, 0), min(ncx + 1 - d, ncx))
-        Ac[rows, d] = blocks[rows, rows + d - 1]
+    rows = np.arange(ncx)
+    Ac = np.zeros((ncx, 2, ncy, ncy))
+    Ac[1:, 0] = blocks[rows[1:], rows[:-1]]
+    Ac[:, 1] = blocks[rows, rows]
     return Ac
 
 
 def unbanded(Ac):
-    """The matrix on every coarse node of the blocks Ac of ``banded``."""
+    """The symmetric matrix on every coarse node whose blocks on and below
+    the diagonal are Ac of ``banded``."""
     ncx, _, ncy, _ = Ac.shape
     blocks = np.zeros((ncx, ncx, ncy, ncy))
-    for d in range(3):
-        rows = np.arange(max(1 - d, 0), min(ncx + 1 - d, ncx))
-        blocks[rows, rows + d - 1] = Ac[rows, d]
+    rows = np.arange(ncx)
+    blocks[rows, rows] = Ac[:, 1]
+    blocks[rows[1:], rows[:-1]] = Ac[1:, 0]
+    blocks[rows[:-1], rows[1:]] = Ac[1:, 0].transpose(0, 2, 1)
     return blocks.transpose(0, 2, 1, 3).reshape(ncx * ncy, -1)
 
 
@@ -1121,18 +1124,21 @@ class TestPrecision:
         assert strip and all(d == np.float64 for d in strip)
 
     def test_h0_single_arrays_are_float32(self, monkeypatch):
-        # with a factor, every array h0 and h0_quad pass through the
-        # stiffness's helpers is float32, and so is h0's output: no float64
-        # scalar or operand promotes the cycle
+        # with a factor, h0 and h0_quad call every helper on the float32
+        # twin stiff.f32, and every array they pass through the helpers is
+        # float32, as is h0's output: no float64 scalar or operand promotes
+        # the cycle. The stiffness's own operands stay float64, and so does
+        # the gradient's product after a cycle has run
         stiff, _ = random_stiffness(np.random.default_rng(3), 2.0,
                                     disk_inside())
         assert stiff.W is not None
-        seen = []
+        seen, owners = [], []
         for name in ("smooth", "differences", "matvec", "restrict",
                      "_spread"):
-            def recording(*args, _f=getattr(_Stiffness, name), **kwargs):
-                out = _f(*args, **kwargs)
-                seen.extend(a.dtype for a in (*args[1:], *np.atleast_1d(out))
+            def recording(obj, *args, _f=getattr(_Stiffness, name), **kwargs):
+                out = _f(obj, *args, **kwargs)
+                owners.append(obj)
+                seen.extend(a.dtype for a in (*args, *np.atleast_1d(out))
                             if isinstance(a, np.ndarray))
                 return out
             monkeypatch.setattr(_Stiffness, name, recording)
@@ -1141,9 +1147,13 @@ class TestPrecision:
         quad = stiff.h0_quad(q.astype(np.float32))
         assert out.dtype == np.float32 and isinstance(quad, float)
         assert seen and all(d == np.float32 for d in seen)
+        assert owners and all(o is stiff.f32 for o in owners)
+        twin = stiff.f32
         assert all(a.dtype == np.float32 for a in (
-            stiff.W, *vars(stiff.f32).values()))
-        assert stiff.pg.dtype == stiff.D.dtype == np.float64
+            stiff.W, twin.box, twin.cells, twin.px, twin.py, twin.pg, twin.D))
+        assert all(a.dtype == np.float64 for a in (
+            stiff.box, stiff.cells, stiff.px, stiff.py, stiff.pg, stiff.D))
+        assert stiff.matvec(*stiff.differences(q)).dtype == np.float64
 
     def test_memory_units_and_restarts(self):
         # the first pair of a float32 generation sets its units: pairs
@@ -1606,10 +1616,11 @@ class TestSweep:
     def test_ex1_sweep_iterations(self):
         # the two-grid cycle's Chebyshev smoother damps the middle of D A's
         # spectrum, which its coarse space cannot reach: ex1 at 48 x 48
-        # takes 121 iterations over p = 4, 8, 16, 32, and 155 with one
-        # damped Jacobi step per side; the count holds with the direction
-        # scaled by 1 +- 1e-15, 1 + 1e-14 or 1 + 1e-7. The roots are those
-        # of the Jacobi-smoothed solves, up to the tolerance
+        # takes 98 iterations over p = 4, 8, 16, 32; at one coarse factor
+        # per 15 iterations it took 121, and 155 with one damped Jacobi
+        # step per side. The count holds with the direction scaled by
+        # 1 +- 1e-15, 1 + 1e-14 or 1 + 1e-7. The roots are those of the
+        # Jacobi-smoothed solves, up to the tolerance
         grid, mask, dist = benchmark_grid(48)
         w = example1_weight(grid, mask)
         _, results, _ = sweep(w, [4, 8, 16, 32], dist=dist)
